@@ -187,10 +187,6 @@ def oseledets_splitting(system: System, x: Point, T_forward: float = 40.0,
     return Splitting(point=x.copy(), subspaces=subs, theta=theta)
 
 
-def splitting_angle(system: System, x: Point, **kw) -> float:
-    return oseledets_splitting(system, x, **kw).theta
-
-
 def decompose(splitting: Splitting, v: np.ndarray) -> list:
     """Components of v in the splitting blocks (sums back to v)."""
     basis = np.column_stack([b for _, b in splitting.subspaces])
@@ -329,13 +325,6 @@ def cocycle_lambda2(system: System, x: Point, t: float) -> float:
     e2 = second_line(sp)
     D = sysmod.tangent_flow(system, x, float(t))
     return float(np.log(np.linalg.norm(D @ e2)))
-
-
-def cocycle_vf(system: System, x: Point, s_disp: np.ndarray, t: float) -> float:
-    """log contraction over [0, t] of a stable displacement vector."""
-    v = np.asarray(s_disp, dtype=float)
-    D = sysmod.tangent_flow(system, x, float(t))
-    return float(np.log(np.linalg.norm(D @ v) / np.linalg.norm(v)))
 
 
 def transport(system: System, x: Point, t: float, dt: float = 1.0):

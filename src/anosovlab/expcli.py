@@ -243,6 +243,12 @@ def parse_config(text: str) -> ExperimentConfig:
                     problems.append(f"missing required [params] key {key!r}")
                 else:
                     params[key] = default
+    if experiment == "correlation":
+        gaps = params["gaps"]
+        # the decay fit needs two gaps; a single value parses as a scalar
+        if not (isinstance(gaps, list) and len(gaps) >= 2 and all(
+                isinstance(g, (int, float)) and not isinstance(g, bool) for g in gaps)):
+            problems.append("[params] 'gaps' must be a list of at least two numbers")
     if problems:
         raise SchemaError(problems)
 

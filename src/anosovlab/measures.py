@@ -18,7 +18,7 @@ import numpy as np
 
 from . import rng as rngmod
 from . import systems as sysmod
-from .errors import EmptyBox, InvalidParams, Unsupported
+from .errors import EmptyBox, InvalidParams, NonFinite, Unsupported
 from .systems import Point, System
 
 
@@ -75,31 +75,29 @@ def wasserstein_1d(mu1: EmpiricalMeasure, mu2: EmpiricalMeasure) -> float:
     return float(np.sum(np.abs(cdf1[:-1] - cdf2[:-1]) * deltas))
 
 
-def _orbit_sample_coords(system, x, times, dt):
-    """Reduced orbit samples; vectorised for the toral suspension."""
-    model = system.model
-    if system.kind == "CatSuspension":
-        red = model.reduce(x.coords)
-        theta0 = red[2]
-        u = model.power(-theta0) @ red[:2]
-        n_units = int(math.floor(theta0 + times[-1])) + 1
-        A = model.A
-        U = np.empty((n_units + 1, 2))
-        U[0] = u - np.floor(u)
-        for n in range(n_units):
-            u = A @ u
-            u -= np.floor(u)
-            U[n + 1] = u
-        tt = theta0 + times
-        n_k = np.floor(tt).astype(int)
-        th_k = tt - n_k
-        W = model._Vinv @ U[n_k].T  # eigen components of the section points
-        W = W * model._evals[:2, None] ** th_k[None, :]
-        V = (model._V @ W).T
-        out = np.empty((len(times), 3))
-        out[:, :2] = V
-        out[:, 2] = th_k
-        return out
+def _section_samples(model, c, times):
+    """The toral orbit of c at the given times, in section coordinates.
+
+    The section point after n roof crossings is the orbit of the section
+    point of c under u -> A u mod Z^2.  Returns the section points and roof
+    heights at the times, and the roof height theta0 of c."""
+    red = model.reduce(c)
+    theta0 = red[2]
+    u = model.power(-theta0) @ red[:2]
+    n_units = int(math.floor(theta0 + times[-1])) + 1
+    U = np.empty((n_units + 1, 2))
+    U[0] = u - np.floor(u)
+    for n in range(n_units):
+        u = model.A @ u
+        u -= np.floor(u)
+        U[n + 1] = u
+    tt = theta0 + times
+    n_k = np.floor(tt).astype(int)
+    return U[n_k], tt - n_k, theta0
+
+
+def _orbit_sample_coords(system, x, times):
+    """Reduced orbit samples at the given times."""
     pts = np.empty((len(times), system.dim))
     y = x.copy()
     prev = 0.0
@@ -114,24 +112,10 @@ def _cat_folded_displacements(model, base, x, times):
     """Chart displacements from base of the deck representative nearest it.
 
     Working in section coordinates keeps the conditioning cell seam-free."""
-    red = model.reduce(x.coords)
-    theta0 = red[2]
-    u = model.power(-theta0) @ red[:2]
-    n_units = int(math.floor(theta0 + times[-1])) + 1
-    A = model.A
-    U = np.empty((n_units + 1, 2))
-    U[0] = u - np.floor(u)
-    for n in range(n_units):
-        u = A @ u
-        u -= np.floor(u)
-        U[n + 1] = u
-    tt = theta0 + times
-    n_k = np.floor(tt).astype(int)
-    th_k = tt - n_k
-
+    sections, th_k, _ = _section_samples(model, x.coords, times)
     theta_b = base[2]
     w_b = model.power(-theta_b) @ base[:2]
-    dw = U[n_k] - w_b
+    dw = sections - w_b
     dw -= np.round(dw)
     dth = th_k - theta_b
     dth -= np.round(dth)
@@ -175,7 +159,7 @@ def empirical_leaf_measure(system: System, x: Point, n_samples: int, window,
     if system.kind == "CatSuspension":
         rel = _cat_folded_displacements(system.model, base, x, times)
     else:
-        pts = _orbit_sample_coords(system, x, times, dt)
+        pts = _orbit_sample_coords(system, x, times)
         rel = pts - base
     params = rel @ e_leaf
     trans = rel - np.outer(params, e_leaf)
@@ -204,38 +188,24 @@ class TestFunction:
     bump: bool
 
     def __call__(self, system, point: Point) -> float:
-        return _evaluate_test(self, system, point)
+        return float(_eval_test_rows(system, self, point.coords[None])[0])
 
 
-def _section_coords(system, point):
-    """Fiber coordinates pulled back to the roof-zero section, plus theta."""
+def _section_coords(system, c):
+    """Fiber coordinates pulled back to the roof-zero section, plus theta,
+    for every row of an (N, dim) batch."""
     model = system.model
-    c = model.reduce(point.coords)
-    theta = c[model.theta_index]
+    c = sysmod.batch_model(system).reduce(c)
+    theta = c[:, model.theta_index]
     if system.kind == "CatSuspension":
-        v0 = model.power(-theta) @ c[:2]
-        return np.asarray(v0), theta
+        return sysmod.matvec(model.power(-theta), c[:, :2]), theta
     # pair models: ring-lattice coordinates of the three pairs at section level
-    w = c[:6] * np.exp(model.rates[:6] * -theta)
-    n = np.empty(6)
+    w = c[:, :6] * np.exp(model.rates[:6] * -theta[:, None])
+    basis_inv = np.repeat(sysmod.RING_BASIS_INV[None], len(c), axis=0)
+    n = np.empty((len(c), 6))
     for k, (i, j) in enumerate(((0, 1), (2, 3), (4, 5))):
-        n[2 * k : 2 * k + 2] = sysmod.RING_BASIS_INV @ w[[i, j]]
+        n[:, 2 * k : 2 * k + 2] = sysmod.matvec(basis_inv, w[:, [i, j]])
     return n, theta
-
-
-def _bump(theta):
-    return 0.5 * (1.0 - math.cos(2.0 * math.pi * theta))
-
-
-def _evaluate_test(tf, system, point):
-    if tf.name == "const":
-        return 1.0
-    coords, theta = _section_coords(system, point)
-    kind, k, phase = tf.freq
-    val = math.sin(2.0 * math.pi * (float(np.dot(k, coords))) + phase)
-    if tf.bump:
-        val *= _bump(theta)
-    return val / tf.lip if tf.lip != 1.0 else val
 
 
 def equidistribution_tests(system: System):
@@ -284,25 +254,6 @@ class EquidistributionReport:
     T_final: float
 
 
-def _section_samples_vectorized(system, x, times):
-    """(section coordinates, roof coordinates) at the sample times (toral path)."""
-    model = system.model
-    red = model.reduce(x.coords)
-    theta0 = red[2]
-    u = model.power(-theta0) @ red[:2]
-    n_units = int(math.floor(theta0 + times[-1])) + 1
-    A = model.A
-    U = np.empty((n_units + 1, 2))
-    U[0] = u - np.floor(u)
-    for n in range(n_units):
-        u = A @ u
-        u -= np.floor(u)
-        U[n + 1] = u
-    tt = theta0 + times
-    n_k = np.floor(tt).astype(int)
-    return U[n_k], tt - n_k
-
-
 def _eval_tests_batch(tests, sections, thetas):
     cols = []
     bump = 0.5 * (1.0 - np.cos(2.0 * math.pi * thetas))
@@ -318,6 +269,22 @@ def _eval_tests_batch(tests, sections, thetas):
     return np.column_stack(cols)
 
 
+def _eval_test_rows(system, tf, c):
+    return _eval_tests_batch([tf], *_section_coords(system, c))[:, 0]
+
+
+def _step_count(T, dt):
+    """Number of dt steps in a run of length T; at least one."""
+    if not dt > 0:
+        raise InvalidParams(f"time step must be positive, got dt = {dt}")
+    if not math.isfinite(T / dt):
+        raise NonFinite("run length is not finite")
+    steps = int(round(T / dt))
+    if steps < 1:
+        raise InvalidParams(f"T = {T} holds no time step of dt = {dt}")
+    return steps
+
+
 def birkhoff_equidistribution(system: System, x: Point, tests, T: float,
                               dt: float = 0.5, reference: str = "haar") -> EquidistributionReport:
     """Time averages along the orbit of x against the invariant integrals."""
@@ -325,32 +292,22 @@ def birkhoff_equidistribution(system: System, x: Point, tests, T: float,
         raise Unsupported("equidistribution diagnostics need a quotiented model")
     if reference != "haar":
         raise InvalidParams(f"unknown reference measure {reference!r}")
-    steps = int(round(T / dt))
+    steps = _step_count(T, dt)
     times = np.arange(1, steps + 1) * dt
     refs = np.array([tf.reference for tf in tests])
     if system.kind == "CatSuspension":
-        sections, thetas = _section_samples_vectorized(system, x, times)
-        vals = _eval_tests_batch(tests, sections, thetas)
-        cums = np.cumsum(vals, axis=0)
-        curve = []
-        for k in range(1, 11):
-            n = int(round(steps * k / 10.0))
-            avg = cums[n - 1] / n
-            curve.append((n * dt, float(np.max(np.abs(avg - refs)))))
-        avgs = cums[-1] / steps
+        sections, thetas, _ = _section_samples(system.model, x.coords, times)
     else:
-        sums = np.zeros(len(tests))
         y = sysmod.lattice_reduce(system, x)
-        checkpoints = {int(round(steps * k / 10.0)) for k in range(1, 11)}
-        curve = []
-        for n in range(1, steps + 1):
+        orbit = np.empty((steps, system.dim))
+        for n in range(steps):
             y = sysmod.flow(system, y, dt)
-            for j, tf in enumerate(tests):
-                sums[j] += tf(system, y)
-            if n in checkpoints:
-                avg = sums / n
-                curve.append((n * dt, float(np.max(np.abs(avg - refs)))))
-        avgs = sums / steps
+            orbit[n] = y.coords
+        sections, thetas = _section_coords(system, orbit)
+    cums = np.cumsum(_eval_tests_batch(tests, sections, thetas), axis=0)
+    checkpoints = sorted({int(round(steps * k / 10.0)) for k in range(1, 11)} - {0})
+    curve = [(n * dt, float(np.max(np.abs(cums[n - 1] / n - refs)))) for n in checkpoints]
+    avgs = cums[-1] / steps
     return EquidistributionReport(
         test_values=[(tf.name, float(a), tf.reference) for tf, a in zip(tests, avgs)],
         discrepancy_curve=curve,
@@ -371,19 +328,13 @@ def _leaf_frequency_data(system, tf, x, t):
     if system.kind != "CatSuspension":
         raise Unsupported("exact leaf frequencies implemented for CatSuspension")
     model = system.model
-    red = sysmod.lattice_reduce(system, x)
-    theta = red.coords[model.theta_index]
+    sections, _, theta = _section_samples(model, x.coords, np.array([float(t)]))
     n = math.floor(theta + t)
     _, k, phase = tf.freq
     k = np.asarray(k, dtype=float)
-    v = model.power(-theta) @ red.coords[:2]
-    A = model.A.astype(float)
-    for _ in range(n):
-        v = A @ v
-        v -= np.floor(v)  # phases only matter mod 1
     e_sec = model.power(-theta) @ model._V[:, 0]
-    w = float(k @ (np.linalg.matrix_power(A, n) @ e_sec))
-    K = float(k @ v) + phase / (2.0 * math.pi)
+    w = float(k @ (np.linalg.matrix_power(model.A, n) @ e_sec))
+    K = float(k @ sections[0]) + phase / (2.0 * math.pi)
     return K, w
 
 
@@ -422,6 +373,8 @@ def correlation_decay(system: System, x: Point, phi: TestFunction, t: float,
     Returns (estimate, standard error)."""
     if not system.model.quotiented:
         raise Unsupported("correlation diagnostics need a quotiented model")
+    if not (math.isfinite(t) and math.isfinite(s)):
+        raise NonFinite("correlation times are not finite")
     if method == "auto":
         method = "exact" if (system.kind == "CatSuspension" and phi.freq is not None
                              and not phi.bump) else "mc"
@@ -430,28 +383,41 @@ def correlation_decay(system: System, x: Point, phi: TestFunction, t: float,
         As, ws, ps = _f_amp_phase(system, phi, x, s)
         val = At * As * _pair_integral(wt, pt, ws, ps)
         return float(val), 0.0
+    if n_u < 2:
+        raise InvalidParams(f"a Monte Carlo estimate needs n_u >= 2 samples, got {n_u}")
     gen = rngmod.derive(seed, "correlation", int(round(1000 * t)), int(round(1000 * s)))
     us = gen.uniform(0.0, 1.0, size=n_u)
-    vals = np.empty(n_u)
-    for i, u in enumerate(us):
-        f_t, f_s = _f_eval_times(system, phi, x, sorted((t, s)), u)
-        vals[i] = f_t * f_s
+    f_t, f_s = _f_eval_times(system, phi, x, sorted((t, s)), us)
+    vals = f_t * f_s
     return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(n_u))
 
 
-def _f_eval_times(system, phi, x, times, u):
-    """f_t(u) at the requested (sorted) times.
+def _leaf_starts(system, x, us):
+    """Reduced leaf points h_u x, one row per leaf parameter u."""
+    c = np.broadcast_to(x.coords, (len(us), system.dim))
+    return sysmod.reduce_rows(system, sysmod.unstable_shift_rows(system, c, us))
+
+
+def _leaf_differences(system, phi, y):
+    """phi(y) - phi(h_1 y) for every row y of a reduced batch."""
+    shifted = sysmod.unstable_shift_rows(system, y, 1.0)
+    return _eval_test_rows(system, phi, y) - _eval_test_rows(system, phi, shifted)
+
+
+def _f_eval_times(system, phi, x, times, us):
+    """f_t(u) at the requested (sorted) times, for every leaf parameter u.
 
     The translate comparison collapses to a unit fast-leaf shift of the same
-    orbit point, so a single reduced orbit per u suffices."""
-    y = sysmod.lattice_reduce(system, sysmod.unstable_shift(system, x, u))
+    orbit point, so a single reduced orbit per u suffices; all u step
+    together."""
+    y = _leaf_starts(system, x, us)
     out = []
     t_cur = 0.0
     for t in times:
         if t > t_cur:
-            y = sysmod.flow(system, y, t - t_cur)
+            y = sysmod.flow_rows(system, y, t - t_cur)
             t_cur = t
-        out.append(phi(system, y) - phi(system, sysmod.unstable_shift(system, y, 1.0)))
+        out.append(_leaf_differences(system, phi, y))
     return out
 
 
@@ -460,15 +426,13 @@ def lln_average(system: System, x: Point, phi: TestFunction, T: float,
     """95th percentile over the leaf parameter of |time average of f_t|."""
     if not system.model.quotiented:
         raise Unsupported("correlation diagnostics need a quotiented model")
+    steps = _step_count(T, dt)
+    if n_u < 1:
+        raise InvalidParams(f"lln_average needs n_u >= 1 leaf samples, got {n_u}")
     gen = rngmod.derive(seed, "lln")
-    us = gen.uniform(0.0, 1.0, size=n_u)
-    steps = int(round(T / dt))
-    averages = np.empty(n_u)
-    for i, u in enumerate(us):
-        y = sysmod.lattice_reduce(system, sysmod.unstable_shift(system, x, u))
-        acc = 0.0
-        for _ in range(steps):
-            acc += phi(system, y) - phi(system, sysmod.unstable_shift(system, y, 1.0))
-            y = sysmod.flow(system, y, dt)
-        averages[i] = abs(acc / steps)
-    return float(np.quantile(averages, 0.95))
+    y = _leaf_starts(system, x, gen.uniform(0.0, 1.0, size=n_u))
+    acc = np.zeros(n_u)
+    for _ in range(steps):
+        acc += _leaf_differences(system, phi, y)
+        y = sysmod.flow_rows(system, y, dt)
+    return float(np.quantile(np.abs(acc / steps), 0.95))

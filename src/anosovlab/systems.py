@@ -115,6 +115,15 @@ def _frac(x):
     return x - np.floor(x)
 
 
+def matvec(P, v):
+    """P @ v for a (2, 2) P or a materialised (N, 2, 2) stack of them.
+
+    np.matmul calls BLAS gemv per row, as the unbatched P @ v does, so each row
+    is bit-identical to it; (N, 2) @ P.T and einsum are not, and the cat map
+    grows a last-bit difference to order one within about 40 time units."""
+    return np.matmul(P, v[..., None])[..., 0]
+
+
 def _axis(dim, i):
     e = np.zeros(dim)
     e[i] = 1.0
@@ -169,6 +178,7 @@ def heisenberg_reduce(coords) -> np.ndarray:
 class _CatSuspension:
     kind = "CatSuspension"
     quotiented = True
+    batched = True
     chart_bound = 1e12
     qni_order = None
 
@@ -206,13 +216,19 @@ class _CatSuspension:
         self.rate_second = None
         self.rate_slow_stable = self.log_mu
 
+    # power, flow, reduce and unstable_shift take a (3,) point or an (N, 3)
+    # batch, with a scalar time or one per row; every row is bit-identical to
+    # the call on that row alone.
     def power(self, t):
-        return (self._V * self._evals**t) @ self._Vinv
+        """A^t: (2, 2) for a scalar t, (N, 2, 2) for an (N,) array of times."""
+        scale = self._evals ** np.asarray(t, dtype=float)[..., None]
+        return (self._V * scale[..., None, :]) @ self._Vinv
 
     def flow(self, c, t):
+        t = np.broadcast_to(t, c.shape[:-1])
         out = c.copy()
-        out[:2] = self.power(t) @ c[:2]
-        out[2] += t
+        out[..., :2] = matvec(self.power(t), c[..., :2])
+        out[..., 2] += t
         return out
 
     def dflow(self, c, t):
@@ -221,13 +237,13 @@ class _CatSuspension:
         return D
 
     def reduce(self, c):
-        theta = _frac(c[2])
+        theta = _frac(c[..., 2])
         # lattice at height theta is A^theta . Z^2
-        w = self.power(-theta) @ c[:2]
+        w = matvec(self.power(-theta), c[..., :2])
         w = w - np.floor(w)
-        out = np.empty(3)
-        out[:2] = self.power(theta) @ w
-        out[2] = theta
+        out = np.empty(c.shape)
+        out[..., :2] = matvec(self.power(theta), w)
+        out[..., 2] = theta
         return out
 
     # leaves -----------------------------------------------------------
@@ -244,9 +260,6 @@ class _CatSuspension:
         params = np.atleast_1d(np.asarray(params, dtype=float))
         return c + self.leaf_dirs(kind) @ params
 
-    def leaf_point_from_params(self, c, kind, params):
-        return self.leaf_translate(c, kind, params)
-
     def cs_u_factorize(self, x, xp):
         """Solve w, (c, dtheta) with  xp + w e+ = c e- + g_dtheta(x)."""
         dtheta = xp[2] - x[2]
@@ -259,7 +272,7 @@ class _CatSuspension:
 
     def unstable_shift(self, c, u):
         out = c.copy()
-        out[:2] = c[:2] + u * self._V[:, 0]
+        out[..., :2] = c[..., :2] + np.asarray(u, dtype=float)[..., None] * self._V[:, 0]
         return out
 
 
@@ -294,6 +307,7 @@ def _pair_inverse(g):
 class _NilPairSuspension:
     kind = "BorelSmale"
     quotiented = True
+    batched = False
     chart_bound = 1e300
 
     def __init__(self, a, b, lam):
@@ -436,12 +450,7 @@ class _NilPairSuspension:
         return u, cs
 
     def unstable_shift(self, c, u):
-        top = [i for i in range(6) if self.weights[i] == max(self.weights[:6])]
-        l = np.zeros(6)
-        l[top[0]] = u
-        out = c.copy()
-        out[:6] = _pair_mult(l, c[:6])
-        return out
+        return self.leaf_translate(c, "StrongUnstable", [u])
 
 
 class _ToralPerturbedSuspension:
@@ -458,6 +467,7 @@ class _ToralPerturbedSuspension:
 
     kind = "BorelSmalePerturbed"
     quotiented = True
+    batched = False
     chart_bound = 1e300
     exact_exponents = None
 
@@ -484,14 +494,6 @@ class _ToralPerturbedSuspension:
         self._unstable_idx = base._unstable_idx
         self._stable_idx = base._stable_idx
         self._sheared_pairs = ((_Z1, _Z2), (_Y1, _Y2))
-        self._check_fiber_invertible()
-
-    def _check_fiber_invertible(self):
-        grid = np.linspace(0.0, 1.0, 64, endpoint=False)
-        dets = np.ones_like(grid)  # shear has unit determinant pointwise
-        jac_off = 2.0 * math.pi * self.eps * np.cos(2.0 * math.pi * grid)
-        if np.min(np.abs(dets)) < 0.5 or not np.all(np.isfinite(jac_off)):
-            raise InvalidParams("perturbed fiber map is not safely invertible")
 
     # fiber shear in ring-lattice coordinates of the z-pair -------------
     def _shear(self, z_pair, sign):
@@ -590,15 +592,8 @@ class _ToralPerturbedSuspension:
         return out
 
     # leaves: linear in the x/y pairs, curved in the z pair --------------
-    def _kind_indices(self, kind):
-        return _NilPairSuspension._kind_indices(self, kind)
-
-    def leaf_dirs(self, kind):
-        idxs = self._kind_indices(kind)
-        cols = [_axis(7, i) for i in idxs]
-        if kind == "CenterStable":
-            cols.append(_axis(7, _TH))
-        return np.column_stack(cols)
+    _kind_indices = _NilPairSuspension._kind_indices
+    leaf_dirs = _NilPairSuspension.leaf_dirs
 
     def leaf_translate(self, c, kind, params):
         """Only the fast block is a straight line here; other leaves are
@@ -613,11 +608,7 @@ class _ToralPerturbedSuspension:
         out[idxs] += params
         return out
 
-    def unstable_shift(self, c, u):
-        top = [i for i in range(6) if self.weights[i] == max(self.weights[:6])]
-        out = c.copy()
-        out[top[0]] += u
-        return out
+    unstable_shift = _NilPairSuspension.unstable_shift
 
 
 # ---------------------------------------------------------------------------
@@ -652,9 +643,7 @@ class _MatrixGroupModel:
     """
 
     quotiented = False
-
-    def __init__(self):
-        self._ad_basis = None
+    batched = False
 
     # subclasses define: n (matrix size), basis (list of matrices), rates,
     # H_flow, theta_index (clock slot), perm (weight-sorting permutation)
@@ -734,6 +723,9 @@ class _MatrixGroupModel:
     def leaf_translate(self, c, kind, params):
         return self.leaf_evaluator(c, kind)(params)
 
+    def unstable_shift(self, c, u):
+        return self.leaf_translate(c, "StrongUnstable", [u])
+
     def leaf_evaluator(self, c, kind):
         """Closure over the (hoisted) base group element."""
         g = self.matrix_from_coords(c)
@@ -801,7 +793,6 @@ class _ASL2Model(_MatrixGroupModel):
     qni_order = 1
 
     def __init__(self):
-        super().__init__()
         self.n = 3
 
         def unit(i, j):
@@ -827,8 +818,6 @@ class _ASL2Model(_MatrixGroupModel):
         self.perm = [0, 2, 1]  # weight-descending vertex order
         self.weights = self.rates
 
-    def unstable_shift(self, c, u):
-        return self.leaf_translate(c, "StrongUnstable", [u])
 
 
 class _SL3Model(_MatrixGroupModel):
@@ -837,7 +826,6 @@ class _SL3Model(_MatrixGroupModel):
     qni_order = 1
 
     def __init__(self):
-        super().__init__()
         self.n = 3
 
         def unit(i, j):
@@ -885,8 +873,6 @@ class _SL3Model(_MatrixGroupModel):
         self.perm = [0, 1, 2]
         self.weights = self.rates
 
-    def unstable_shift(self, c, u):
-        return self.leaf_translate(c, "StrongUnstable", [u])
 
 
 # ---------------------------------------------------------------------------
@@ -934,18 +920,54 @@ def make_system(spec: SystemSpec) -> System:
 def _check_finite(arr, what="input"):
     if not np.all(np.isfinite(arr)):
         raise NonFinite(f"{what} is not finite")
+    return arr
+
+
+class _RowLoop:
+    """(N, dim) batch operations for a model whose operations take one point."""
+
+    def __init__(self, model):
+        self._model = model
+
+    def flow(self, c, t):
+        return self._rows(self._model.flow, c, t)
+
+    def reduce(self, c):
+        return np.array([self._model.reduce(row) for row in c]).reshape(c.shape)
+
+    def unstable_shift(self, c, u):
+        return self._rows(self._model.unstable_shift, c, u)
+
+    @staticmethod
+    def _rows(op, c, s):
+        s = np.broadcast_to(np.asarray(s, dtype=float), c.shape[:-1])
+        return np.array([op(row, float(si)) for row, si in zip(c, s)]).reshape(c.shape)
+
+
+def batch_model(system: System):
+    """The model's own operations on (N, dim) batches, unchecked."""
+    model = system.model
+    return model if model.batched else _RowLoop(model)
+
+
+def _flow(model, c, t, reduce):
+    _check_finite(c)
+    _check_finite(t, "time")
+    out = _check_finite(model.flow(c, t), "flow image")
+    return model.reduce(out) if reduce else out
 
 
 def flow(system: System, x: Point, t: float, reduce: bool = True) -> Point:
     """Evaluate g_t(x).  Quotiented models return the lattice-reduced point."""
-    _check_finite(x.coords)
-    if not math.isfinite(t):
-        raise NonFinite("time is not finite")
-    c = system.model.flow(x.coords, float(t))
-    _check_finite(c, "flow image")
-    if reduce and system.model.quotiented:
-        return Point(system.model.reduce(c), reduced=True)
-    return Point(c, reduced=False)
+    reduce = reduce and system.model.quotiented
+    return Point(_flow(system.model, x.coords, float(t), reduce), reduced=reduce)
+
+
+def flow_rows(system: System, c: np.ndarray, t) -> np.ndarray:
+    """`flow` on every row of an (N, dim) batch, t scalar or per row.
+
+    Raises NonFinite exactly when `flow` raises it on some row."""
+    return _check_finite(_flow(batch_model(system), c, t, system.model.quotiented), "point")
 
 
 def tangent_flow(system: System, x: Point, t: float) -> np.ndarray:
@@ -961,6 +983,11 @@ def lattice_reduce(system: System, x: Point) -> Point:
     if not system.model.quotiented:
         raise Unsupported(f"{system.kind} operates on a local chart; no lattice is configured")
     return Point(system.model.reduce(x.coords), reduced=True)
+
+
+def reduce_rows(system: System, c: np.ndarray) -> np.ndarray:
+    """`lattice_reduce` on every row of an (N, dim) batch."""
+    return _check_finite(batch_model(system).reduce(_check_finite(c)), "point")
 
 
 def dist(system: System, p: Point, q: Point) -> float:
@@ -989,13 +1016,14 @@ def strong_unstable_translate(system, x, params):
     return leaf_translate(system, x, "StrongUnstable", params)
 
 
-def center_stable_translate(system, x, params):
-    return leaf_translate(system, x, "CenterStable", params)
-
-
 def unstable_shift(system: System, x: Point, u: float) -> Point:
     """One-parameter strong-unstable translation (leaf parameter u)."""
     return Point(system.model.unstable_shift(x.coords, float(u)))
+
+
+def unstable_shift_rows(system: System, c: np.ndarray, u) -> np.ndarray:
+    """`unstable_shift` on every row of an (N, dim) batch, u scalar or per row."""
+    return _check_finite(batch_model(system).unstable_shift(c, u), "point")
 
 
 def leaf_dimension(system: System, kind: str) -> int:

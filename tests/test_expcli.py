@@ -206,3 +206,31 @@ def test_cli_run_and_plot(tmp_path):
     )
     assert plot.returncode == 0
     assert (tmp_path / "plots" / "spectrum.csv").exists()
+
+
+CAT_CORRELATION = """
+experiment = correlation
+[system]
+kind = CatSuspension
+[params]
+gaps = 2, 4
+"""
+
+
+@pytest.mark.parametrize("text, code, error", [
+    (CAT_CORRELATION + "lln_T = 0.1\n", 3, "InvalidParams"),
+    (CAT_CORRELATION + "lln_n_u = 0\n", 3, "InvalidParams"),
+    (CAT_CORRELATION + "method = mc\nn_u = 1\n", 3, "InvalidParams"),
+    ("experiment = equidistribution\n[system]\nkind = CatSuspension\n[params]\nT = 0.1\n",
+     3, "InvalidParams"),
+    (CAT_CORRELATION.replace("gaps = 2, 4", "gaps = 2"), 2, "SchemaError"),
+], ids=["lln_T", "lln_n_u", "mc_n_u", "equidistribution_T", "scalar_gaps"])
+def test_degenerate_sampling_inputs_exit_with_typed_error(tmp_path, capsys, text, code, error):
+    cfg = tmp_path / "degenerate.cfg"
+    cfg.write_text(text)
+    assert E.main(["run", str(cfg), "--out", str(tmp_path / "o")]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == error

@@ -1,11 +1,16 @@
 """Empirical measures, Wasserstein axioms, equidistribution, correlation law."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anosovlab import measures as M
+from anosovlab import rng
 from anosovlab import systems as S
-from anosovlab.errors import InvalidParams, Unsupported
+from anosovlab.errors import InvalidParams, NonFinite, Unsupported
 
 
 def make(kind, **params):
@@ -133,6 +138,14 @@ def test_birkhoff_discrepancy_small_at_moderate_time():
     assert ts == sorted(ts)
 
 
+@pytest.mark.parametrize("T", (0.5, 2.0, 3.0, 4.5))
+def test_birkhoff_short_runs_report_finite_checkpoints(T):
+    rep = M.birkhoff_equidistribution(CAT, pt(20), M.equidistribution_tests(CAT), T=T, dt=0.5)
+    ts = [t for t, _ in rep.discrepancy_curve]
+    assert ts[0] > 0.0 and ts == sorted(set(ts)) and ts[-1] == T
+    assert all(math.isfinite(d) for _, d in rep.discrepancy_curve)
+
+
 def test_birkhoff_unsupported_on_chart_local():
     asl = make("ASL2Model")
     with pytest.raises(Unsupported):
@@ -203,3 +216,109 @@ def test_lln_percentile_small_and_decreasing():
     p_long = M.lln_average(CAT, x, phi, T=600.0, n_u=32, seed=5)
     assert p_long <= 0.05
     assert p_long <= p_short
+
+
+def test_lln_percentile_rejects_empty_sampling():
+    phi = M.leafwise_test(CAT)
+    with pytest.raises(InvalidParams):
+        M.lln_average(CAT, pt(17), phi, T=0.1, n_u=8)
+    with pytest.raises(InvalidParams):
+        M.lln_average(CAT, pt(17), phi, T=10.0, n_u=0)
+    with pytest.raises(NonFinite):
+        M.lln_average(CAT, pt(17), phi, T=math.inf, n_u=8)
+
+
+def test_correlation_rejects_bad_sampling_inputs():
+    phi = M.leafwise_test(CAT)
+    with pytest.raises(InvalidParams):
+        M.correlation_decay(CAT, pt(18), phi, 1.0, 3.0, n_u=1, method="mc")
+    for method in ("exact", "mc"):
+        with pytest.raises(NonFinite):
+            M.correlation_decay(CAT, pt(18), phi, math.nan, 3.0, method=method)
+
+
+def test_birkhoff_rejects_runs_without_a_step():
+    tests = M.equidistribution_tests(CAT)
+    with pytest.raises(InvalidParams):
+        M.birkhoff_equidistribution(CAT, pt(19), tests, T=0.1, dt=0.5)
+    with pytest.raises(InvalidParams):
+        M.birkhoff_equidistribution(CAT, pt(19), tests, T=10.0, dt=0.0)
+
+
+# ---------------------------------------------------------------------------
+# the batched sampling loops against their scalar definition
+
+
+def _phi_scalar(system, phi, coords):
+    """sin(2 pi k . section coordinates + phase) / lip at one point."""
+    m = system.model
+    c = m.reduce(coords)
+    theta = c[m.theta_index]
+    if system.kind == "CatSuspension":
+        v = m.power(-theta) @ c[:2]
+    else:
+        w = c[:6] * np.exp(m.rates[:6] * -theta)
+        v = np.concatenate([S.RING_BASIS_INV @ w[[i, j]] for i, j in ((0, 1), (2, 3), (4, 5))])
+    _, k, phase = phi.freq
+    return math.sin(2.0 * math.pi * float(np.dot(k, v)) + phase) / phi.lip
+
+
+def _f_scalar(system, phi, y):
+    shifted = S.unstable_shift(system, y, 1.0)
+    return _phi_scalar(system, phi, y.coords) - _phi_scalar(system, phi, shifted.coords)
+
+
+def _leaf_start(system, x, u):
+    return S.lattice_reduce(system, S.unstable_shift(system, x, u))
+
+
+def lln_reference(system, x, phi, T, n_u, dt, seed):
+    averages = []
+    for u in rng.derive(seed, "lln").uniform(0.0, 1.0, size=n_u):
+        y = _leaf_start(system, x, u)
+        acc = 0.0
+        for _ in range(int(round(T / dt))):
+            acc += _f_scalar(system, phi, y)
+            y = S.flow(system, y, dt)
+        averages.append(abs(acc / int(round(T / dt))))
+    return float(np.quantile(averages, 0.95))
+
+
+def mc_reference(system, x, phi, t, s, n_u, seed):
+    gen = rng.derive(seed, "correlation", int(round(1000 * t)), int(round(1000 * s)))
+    vals = []
+    for u in gen.uniform(0.0, 1.0, size=n_u):
+        y = _leaf_start(system, x, u)
+        f, t_cur = [], 0.0
+        for tk in sorted((t, s)):
+            if tk > t_cur:
+                y, t_cur = S.flow(system, y, tk - t_cur), tk
+            f.append(_f_scalar(system, phi, y))
+        vals.append(f[0] * f[1])
+    vals = np.array(vals)
+    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(n_u))
+
+
+_kinds = st.sampled_from(("CatSuspension", "BorelSmale", "BorelSmalePerturbed"))
+
+
+@settings(max_examples=12)
+@given(kind=_kinds, seed=st.integers(0, 2**31 - 1), n_u=st.integers(1, 6),
+       T=st.floats(1.0, 30.0), dt=st.sampled_from((0.5, 0.25, 0.7)))
+def test_lln_average_equals_scalar_loop(kind, seed, n_u, T, dt):
+    system = make(kind)
+    x = pt(seed, system)
+    phi = M.leafwise_test(system)
+    got = M.lln_average(system, x, phi, T=T, n_u=n_u, dt=dt, seed=seed)
+    assert got == lln_reference(system, x, phi, T, n_u, dt, seed)
+
+
+@settings(max_examples=12)
+@given(kind=_kinds, seed=st.integers(0, 2**31 - 1), n_u=st.integers(2, 6),
+       t=st.floats(0.0, 6.0), s=st.floats(0.0, 6.0))
+def test_monte_carlo_correlation_equals_scalar_loop(kind, seed, n_u, t, s):
+    system = make(kind)
+    x = pt(seed, system)
+    phi = M.leafwise_test(system)
+    got = M.correlation_decay(system, x, phi, t, s, n_u=n_u, seed=seed, method="mc")
+    assert got == mc_reference(system, x, phi, t, s, n_u, seed)

@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from anosovlab import systems as S
-from anosovlab.errors import InvalidParams, Unsupported
+from anosovlab.errors import InvalidParams, NonFinite, Unsupported
 
 LINEAR_KINDS = ("CatSuspension", "BorelSmale", "ASL2Model", "SL3Model")
 ALL_KINDS = LINEAR_KINDS + ("BorelSmalePerturbed",)
@@ -311,6 +313,96 @@ def test_asl2_commutator_projection_formula():
     ux = S.strong_unstable_translate(system, x, [b])
     w, _ = system.model.cs_u_factorize(ux.coords, xp.coords)
     assert abs(w[1] - (-b * y)) <= 1e-10
+
+
+# ---------------------------------------------------------------------------
+# batched operations: every row bit-identical to the call on that row alone
+
+QUOTIENT_KINDS = ("CatSuspension", "BorelSmale", "BorelSmalePerturbed")
+
+# fundamental-domain seams: integer heights and lattice points, and values
+# just beside them
+_SEAMS = (0.0, -0.0, 1.0, -1.0, 2.0, 0.5, 1.0 - 2.0**-53, -(2.0**-60), 2.0**-60)
+_coord = st.one_of(st.sampled_from(_SEAMS), st.floats(-6.0, 6.0))
+_time = st.one_of(st.sampled_from(_SEAMS), st.floats(-3.0, 3.0))
+
+
+def _rows(dim):
+    return st.lists(st.tuples(*[_coord] * dim), min_size=1, max_size=8)
+
+
+def assert_bits_equal(batch, rows):
+    expect = np.array(rows)
+    assert batch.shape == expect.shape
+    assert batch.tobytes() == expect.tobytes()
+
+
+class CatScalar:
+    """The cat suspension's operations on one point, written with plain P @ v."""
+
+    def __init__(self, m):
+        self.m = m
+
+    def power(self, t):
+        return (self.m._V * self.m._evals**t) @ self.m._Vinv
+
+    def flow(self, c, t):
+        return np.append(self.power(t) @ c[:2], c[2] + t)
+
+    def reduce(self, c):
+        theta = c[2] - np.floor(c[2])
+        w = self.power(-theta) @ c[:2]
+        return np.append(self.power(theta) @ (w - np.floor(w)), theta)
+
+    def unstable_shift(self, c, u):
+        return np.append(c[:2] + u * self.m._V[:, 0], c[2])
+
+
+@given(rows=_rows(3), times=st.lists(_time, min_size=8, max_size=8), t=_time)
+def test_cat_batched_operations_match_scalar_calls(rows, times, t):
+    m = make("CatSuspension").model
+    c = np.array(rows)
+    ts = np.array(times[: len(c)])
+    for one in (m, CatScalar(m)):
+        assert_bits_equal(m.power(ts), [one.power(ti) for ti in ts])
+        assert_bits_equal(m.flow(c, ts), [one.flow(r, ti) for r, ti in zip(c, ts)])
+        assert_bits_equal(m.flow(c, t), [one.flow(r, t) for r in c])
+        assert_bits_equal(m.reduce(c), [one.reduce(r) for r in c])
+        assert_bits_equal(m.unstable_shift(c, ts),
+                          [one.unstable_shift(r, ti) for r, ti in zip(c, ts)])
+        assert_bits_equal(m.unstable_shift(c, t), [one.unstable_shift(r, t) for r in c])
+
+
+@pytest.mark.parametrize("kind", QUOTIENT_KINDS)
+@given(data=st.data())
+def test_row_operations_match_point_operations(kind, data):
+    system = make(kind)
+    c = np.array(data.draw(_rows(system.dim)))
+    t = data.draw(_time)
+    us = np.array(data.draw(st.lists(_time, min_size=len(c), max_size=len(c))))
+    pts = [S.Point(r) for r in c]
+    assert_bits_equal(S.flow_rows(system, c, t), [S.flow(system, p, t).coords for p in pts])
+    assert_bits_equal(S.reduce_rows(system, c), [S.lattice_reduce(system, p).coords for p in pts])
+    assert_bits_equal(
+        S.unstable_shift_rows(system, c, us),
+        [S.unstable_shift(system, p, u).coords for p, u in zip(pts, us)],
+    )
+
+
+@pytest.mark.parametrize("kind", QUOTIENT_KINDS)
+@given(bad=st.sampled_from((math.nan, math.inf, -math.inf)), row=st.integers(0, 3))
+def test_row_operations_reject_non_finite_input(kind, bad, row):
+    system = make(kind)
+    c = np.random.default_rng(row).uniform(0.0, 1.0, (4, system.dim))
+    with pytest.raises(NonFinite):
+        S.flow_rows(system, c, bad)
+    with pytest.raises(NonFinite):
+        S.unstable_shift_rows(system, c, np.where(np.arange(4) == row, bad, 0.5))
+    c[row, 0] = bad
+    with pytest.raises(NonFinite):
+        S.flow_rows(system, c, 0.5)
+    with pytest.raises(NonFinite):
+        S.reduce_rows(system, c)
 
 
 def test_unknown_kind_rejected():
