@@ -55,38 +55,18 @@ class Companion:
 
 
 def default_companion(system: System, scale: float = 0.5) -> Companion:
-    model = system.model
-    n_s = sysmod.leaf_dimension(system, "Stable")
-    params = [0.0] * n_s
-    params[_slow_stable_slot(system)] = scale
+    rates = system.model.leaf_rates("Stable")
+    params = [0.0] * len(rates)
+    params[int(np.argmax(rates))] = scale  # the slowest (least-negative) slot
     return Companion(s_disp=tuple(params))
 
 
-def _slow_stable_slot(system: System) -> int:
-    model = system.model
-    if system.kind in ("BorelSmale", "BorelSmalePerturbed"):
-        idxs = model._kind_indices("Stable")
-        rates = [model.rates[i] for i in idxs]
-        return int(np.argmax(rates))  # least-negative rate
-    if system.kind in ("ASL2Model", "SL3Model"):
-        # stable slots are listed by descending weight: first is slowest
-        return 0
-    return 0
-
-
 def stable_params_between(system: System, q: Point, q_prime: Point) -> np.ndarray:
-    """Leaf parameters of q' on the stable leaf of q (linear models exact)."""
+    """Leaf parameters of q' on the stable leaf of q (group models exact)."""
     model = system.model
-    if system.kind == "BorelSmale":
-        g = sysmod._pair_mult(q_prime.coords[:6], sysmod._pair_inverse(q.coords[:6]))
-        return np.array([g[i] for i in model._kind_indices("Stable")])
-    if system.kind in ("ASL2Model", "SL3Model"):
-        M = model.matrix_from_coords(q_prime.coords) @ np.linalg.inv(
-            model.matrix_from_coords(q.coords)
-        )
-        return np.array([M[i, j] for (i, j) in model.s_slots])
-    dirs = system.model.leaf_dirs("Stable")
-    sol, *_ = np.linalg.lstsq(dirs, q_prime.coords - q.coords, rcond=None)
+    if hasattr(model, "stable_params_between"):
+        return model.stable_params_between(q.coords, q_prime.coords)
+    sol, *_ = np.linalg.lstsq(model.leaf_dirs("Stable"), q_prime.coords - q.coords, rcond=None)
     return sol
 
 
@@ -117,7 +97,7 @@ class _GrowthProfile:
         for _ in range(steps):
             D = sysmod.tangent_flow(system, y, dt)
             v = D @ v
-            y = sysmod.flow(system, y, dt, reduce=system.model.quotiented)
+            y = sysmod.flow(system, y, dt)
             if do_project:
                 sp = comod.oseledets_splitting(system, y)
                 comps = comod.decompose(sp, v)
@@ -180,7 +160,7 @@ def _quotient_increment(system, p, v):
     c0 = float(np.linalg.norm(comps[idx]))
     D = sysmod.tangent_flow(system, p, 1.0)
     w = D @ v
-    p1 = sysmod.flow(system, p, 1.0, reduce=system.model.quotiented)
+    p1 = sysmod.flow(system, p, 1.0)
     sp1 = comod.oseledets_splitting(system, p1)
     w2 = comod.decompose(sp1, w)[idx]
     c1 = float(np.linalg.norm(w2))
@@ -199,11 +179,11 @@ def _second_block_index(splitting) -> int:
 def _forward_convergence_ok(system, x, z, T):
     """Do the forward orbits of x and z approach each other over [0, T/2]?
 
-    On the exact group model the displacement is conjugated analytically, so
-    the check cannot be fooled by fundamental-domain seams."""
-    if system.kind == "BorelSmale":
-        model = system.model
-        d = sysmod._pair_mult(z.coords[:6], sysmod._pair_inverse(x.coords[:6]))
+    Where the model gives the group displacement it is conjugated
+    analytically, so the check cannot be fooled by fundamental-domain seams."""
+    model = system.model
+    if hasattr(model, "group_displacement"):
+        d = model.group_displacement(x.coords, z.coords)
         dth = z.coords[6] - x.coords[6]
         d0 = float(np.linalg.norm(np.append(d, dth)))
         if d0 == 0.0:
@@ -215,8 +195,8 @@ def _forward_convergence_ok(system, x, z, T):
     d0 = sysmod.dist(system, x, z)
     if d0 == 0.0:
         return True
-    half = sysmod.flow(system, x, T / 2.0, reduce=system.model.quotiented)
-    halfz = sysmod.flow(system, z, T / 2.0, reduce=system.model.quotiented)
+    half = sysmod.flow(system, x, T / 2.0)
+    halfz = sysmod.flow(system, z, T / 2.0)
     return sysmod.dist(system, half, halfz) <= 0.5 * d0 + 1e-12
 
 
@@ -285,9 +265,8 @@ def operator_B(system: System, z: Point, x: Point, q_frame_x=None, r_frame_x=Non
 
     The clock mismatch between the two points contributes the second-line
     cocycle over the offset."""
-    model = system.model
-    clock = getattr(model, "theta_index", None)
-    s_off = 0.0 if clock is None else float(z.coords[clock] - x.coords[clock])
+    clock = system.model.theta_index
+    s_off = float(z.coords[clock] - x.coords[clock])
     x1 = sysmod.flow(system, x, s_off, reduce=False) if s_off != 0.0 else x
     L = holonomy_limit(system, x1, z, T_max=T_max)
     I_x1 = identification_map(system, x1, q_frame_x, r_frame_x)
@@ -341,19 +320,6 @@ class TransferData:
     companion: Companion
 
 
-def _e2_param_slot(system: System) -> int:
-    """Slot of the second-line direction inside the unstable leaf params."""
-    model = system.model
-    if system.kind in ("BorelSmale", "BorelSmalePerturbed"):
-        idxs = model._kind_indices("Unstable")
-        rates = [model.rates[i] for i in idxs]
-        order = np.argsort(rates)[::-1]
-        return int(order[1])
-    if system.kind in ("ASL2Model", "SL3Model"):
-        return 1  # u_slots are listed by descending weight
-    raise Unsupported("system has no second expanding direction")
-
-
 def stable_frame_vector(system: System, q: Point, s_params) -> np.ndarray:
     """Chart vector of a stable displacement given by leaf parameters.
 
@@ -365,10 +331,8 @@ def stable_frame_vector(system: System, q: Point, s_params) -> np.ndarray:
     if system.exact_exponents is not None:
         return model.leaf_dirs("Stable") @ s_params
     sp = comod.oseledets_splitting(system, q)
-    idxs = model._kind_indices("Stable")
     v = np.zeros(system.dim)
-    for val, i in zip(s_params, idxs):
-        rate = model.rates[i]
+    for val, rate in zip(s_params, model.leaf_rates("Stable")):
         blk = [B for e, B in sp.subspaces if abs(e - rate) < 1e-6]
         if not blk:
             raise IllConditioned("no measured block at the requested rate")
@@ -392,9 +356,8 @@ def build_transfer(system: System, q1: Point, u: float, ell: float,
         raise Unsupported(f"{system.kind} has a one-dimensional unstable block")
     if companion is None:
         companion = default_companion(system)
-    reduce = model.quotiented
-    q = sysmod.flow(system, q1, -ell, reduce=reduce)
-    q_half = sysmod.flow(system, q, ell / 2.0, reduce=reduce)
+    q = sysmod.flow(system, q1, -ell)
+    q_half = sysmod.flow(system, q, ell / 2.0)
 
     s_params = np.asarray(companion.s_disp, dtype=float)
     s_vec = stable_frame_vector(system, q, s_params)
@@ -405,14 +368,16 @@ def build_transfer(system: System, q1: Point, u: float, ell: float,
     v_half = s_norm * math.exp(s_prof(ell / 2.0)) * s_prof.vector_at(ell / 2.0)
     r1 = companion.r_seed if companion.r_seed is not None else s_norm * math.exp(s_prof(ell))
 
-    if system.kind == "BorelSmalePerturbed":
+    stable_rates = model.leaf_rates("Stable")
+    if system.exact_exponents is None:
+        # measured splitting: read the parameters off the measured stable
+        # blocks, and place the companion on the curved stable leaf chart
         sp_h = comod.oseledets_splitting(system, q_half)
         comps = comod.decompose(sp_h, v_half)
         stable_blocks = [i for i, (e, _) in enumerate(sp_h.subspaces) if e < -1e-9]
-        idxs = model._kind_indices("Stable")
-        s_half_params = np.zeros(len(idxs))
-        for slot, i in enumerate(idxs):
-            blk = [b for b in stable_blocks if abs(sp_h.subspaces[b][0] - model.rates[i]) < 1e-6]
+        s_half_params = np.zeros(len(stable_rates))
+        for slot, rate in enumerate(stable_rates):
+            blk = [b for b in stable_blocks if abs(sp_h.subspaces[b][0] - rate) < 1e-6]
             if blk:
                 s_half_params[slot] = float(
                     np.dot(comps[blk[0]], sp_h.subspaces[blk[0]][1][:, 0])
@@ -420,14 +385,17 @@ def build_transfer(system: System, q1: Point, u: float, ell: float,
         chart_s = lgmod.leaf_chart(system, q_half, "Stable", order=4)
         q_half_prime = Point(chart_s.evaluate(s_half_params))
     else:
-        s_half_params = _halfway_stable_params(system, q_half, v_half, s_params, ell)
+        # exact: each stable parameter contracts at its own rate
+        s_half_params = np.array(
+            [s * math.exp(r * ell / 2.0) for s, r in zip(s_params, stable_rates)]
+        )
         q_half_prime = sysmod.stable_translate(system, q_half, s_half_params)
 
     u_half = float(u) * math.exp(-model.rate_top * ell / 2.0)
     x = sysmod.strong_unstable_translate(system, q_half, [u_half])
 
     # stable projection of x onto the unstable leaf of the companion
-    if hasattr(model, "cs_u_factorize") and system.kind != "BorelSmalePerturbed":
+    if hasattr(model, "cs_u_factorize"):
         w_params, cs_info = model.cs_u_factorize(x.coords, q_half_prime.coords)
         cs_resid = np.asarray(cs_info[0] if isinstance(cs_info, tuple) else cs_info, dtype=float)
         cs_resid = np.atleast_1d(cs_resid).ravel()
@@ -449,7 +417,8 @@ def build_transfer(system: System, q1: Point, u: float, ell: float,
         )
         cs_resid = np.asarray(cs_params, dtype=float)
 
-    e2_slot = _e2_param_slot(system)
+    # slot of the second-line direction among the unstable leaf parameters
+    e2_slot = int(np.argsort(model.leaf_rates("Unstable"))[::-1][1])
     # growth profile of the second line along the orbit of x
     beta = apriori_beta(system)
     horizon = ell / 2.0 + beta * ell + 2.0
@@ -457,7 +426,7 @@ def build_transfer(system: System, q1: Point, u: float, ell: float,
     profile = _GrowthProfile(system, x, e2_dir, horizon)
 
     if measure_B is None:
-        measure_B = system.kind == "BorelSmalePerturbed"
+        measure_B = system.exact_exponents is None
     B = operator_B(system, z, x, T_max=min(20.0, max(6.0, ell))) if measure_B else 1.0
 
     grow_half = math.exp(profile(ell / 2.0))
@@ -471,31 +440,6 @@ def build_transfer(system: System, q1: Point, u: float, ell: float,
     )
 
 
-def _halfway_stable_params(system, q_half, v_half, s_params, ell):
-    """Stable leaf parameters at the half-way point (linear models: exact)."""
-    model = system.model
-    if system.kind in ("BorelSmale", "CatSuspension"):
-        idxs = model._kind_indices("Stable") if hasattr(model, "_kind_indices") else None
-        if idxs is not None:
-            return np.array(
-                [s * math.exp(model.rates[i] * ell / 2.0) for s, i in zip(s_params, idxs)]
-            )
-        return s_params * math.exp(-model.log_mu * ell / 2.0)
-    if system.kind in ("ASL2Model", "SL3Model"):
-        rates = [model.rates[_slot_index(model, sl)] for sl in model.s_slots]
-        return np.array(
-            [s * math.exp(r * ell / 2.0) for s, r in zip(s_params, rates)]
-        )
-    raise Unsupported(system.kind)
-
-
-def _slot_index(model, slot):
-    for k, B in enumerate(model.basis):
-        if B is not None and B[slot] == 1.0:
-            return k
-    raise InvalidParams("slot not in basis")
-
-
 def transfer_trace(data: TransferData, t: float) -> float:
     """Magnitude of the transferred second-line separation at time t."""
     growth = math.exp(data.profile(data.ell / 2.0 + t))
@@ -505,7 +449,7 @@ def transfer_trace(data: TransferData, t: float) -> float:
 def transfer_magnitude(system: System, q: Point, q_prime: Point, u: float,
                        ell: float, t: float, epsilon_chart: float = 1e-6) -> float:
     """One-shot transfer magnitude for an explicitly given companion point."""
-    q1 = sysmod.flow(system, q, ell, reduce=system.model.quotiented)
+    q1 = sysmod.flow(system, q, ell)
     s_params = stable_params_between(system, q, q_prime)
     comp = Companion(s_disp=tuple(s_params))
     data = build_transfer(system, q1, u, ell, comp, epsilon_chart=epsilon_chart)
@@ -632,13 +576,12 @@ class YConfiguration:
 def y_configuration(system: System, q: Point, u: float, ell: float, epsilon: float,
                     companion: Companion | None = None) -> YConfiguration:
     """Five-point configuration with second-line-synchronised branch lengths."""
-    reduce = system.model.quotiented
-    q1 = sysmod.flow(system, q, ell, reduce=reduce)
+    q1 = sysmod.flow(system, q, ell)
     rec = stopping_time(system, q1, u, ell, epsilon, companion)
     u_q1 = sysmod.strong_unstable_translate(system, q1, [u])
-    q2 = sysmod.flow(system, u_q1, rec.tau2, reduce=reduce)
+    q2 = sysmod.flow(system, u_q1, rec.tau2)
     t2 = t2_solve(system, q1, u, rec.tau2)
-    q3 = sysmod.flow(system, q1, t2, reduce=reduce)
+    q3 = sysmod.flow(system, q1, t2)
     return YConfiguration(
         q=q.copy(), q1=q1, u_q1=u_q1, q2=q2, q3=q3, ell=float(ell),
         t=float(rec.tau2), t2=float(t2),
@@ -693,8 +636,7 @@ def bilipschitz_check(system: System, q1: Point, u: float, ell_grid, s_grid,
     lam2_min, lam2_max = min(lam2_rates), max(lam2_rates)
 
     # measured contraction rates of the companion data
-    model = system.model
-    q = sysmod.flow(system, q1, -max(ells), reduce=model.quotiented)
+    q = sysmod.flow(system, q1, -max(ells))
     s_vec = stable_frame_vector(system, q, np.asarray(companion.s_disp))
     vf_prof = _GrowthProfile(system, q, s_vec, max(ells) + 1.0, project="stable")
     vf_rates = [-(vf_prof(w + 1.0) - vf_prof(w)) for w in np.arange(0.0, max(ells), 1.0)]
@@ -732,9 +674,9 @@ def factorization_residual(system: System, q1: Point, u: float, ell: float,
     """Local Hausdorff distance between the two fast leaves at time t versus
     the transfer magnitude.  Quotiented group models only (the companion
     translation is conjugated exactly)."""
-    if system.kind != "BorelSmale":
-        raise Unsupported("leaf-divergence cross-check runs on the nil quotient model")
     model = system.model
+    if not hasattr(model, "group_displacement"):
+        raise Unsupported("leaf-divergence cross-check runs on the nil quotient model")
     data = build_transfer(system, q1, u, ell, companion)
     A_t = transfer_trace(data, t)
 
@@ -745,9 +687,7 @@ def factorization_residual(system: System, q1: Point, u: float, ell: float,
 
     # group displacement from x, with the fast component removed (it moves
     # points inside the same fast leaf)
-    delta = sysmod._pair_mult(
-        z_seeded.coords[:6], sysmod._pair_inverse(data.x.coords[:6])
-    )
+    delta = model.group_displacement(data.x.coords, z_seeded.coords)
     uu_idx = model._kind_indices("StrongUnstable")
     strip = np.zeros(6)
     strip[uu_idx] = -delta[uu_idx]
@@ -755,7 +695,7 @@ def factorization_residual(system: System, q1: Point, u: float, ell: float,
 
     T = ell / 2.0 + t
     delta_T = delta * np.exp(model.rates[:6] * T)
-    P = sysmod.flow(system, data.x, T, reduce=True)
+    P = sysmod.flow(system, data.x, T)
     Yc = P.coords.copy()
     Yc[:6] = sysmod._pair_mult(delta_T, P.coords[:6])
     Y = Point(Yc)

@@ -285,18 +285,21 @@ def _orthonormalize_params(evaluator, pdim, h=1e-6):
 
 def _linear_chart(system, x, kind, order):
     model = system.model
-
     if hasattr(model, "leaf_evaluator"):
         evaluator = model.leaf_evaluator(x.coords, kind)
+        affine = False
     else:
         def evaluator(params):
             return sysmod.leaf_translate(system, x, kind, params).coords
 
+        # left translation is affine in polarised/flat coordinates, except
+        # along the flow direction of a center-stable leaf
+        affine = kind != "CenterStable"
+
     pdim = sysmod.leaf_dimension(system, kind)
     evaluator = _orthonormalize_params(evaluator, pdim)
     radius = _default_radius(system)
-    if system.kind in ("BorelSmale", "CatSuspension") and kind != "CenterStable":
-        # left translation is affine in polarised/flat coordinates: exact
+    if affine:
         zero = evaluator(np.zeros(pdim))
         terms = {tuple([0] * pdim): zero}
         for j in range(pdim):
@@ -305,9 +308,8 @@ def _linear_chart(system, x, kind, order):
             unit = evaluator(np.eye(pdim)[j]) - zero
             terms[tuple(e)] = unit
         poly = PolyMap(pdim, system.dim, terms)
-        rem = _validate_remainder(evaluator, poly, radius)
-        return LeafChart(x.copy(), kind, max(order, 1), poly, radius, rem, evaluator, 0.0)
-    poly = PolyMap.fit(evaluator, pdim, system.dim, max(order, 1), radius)
+    else:
+        poly = PolyMap.fit(evaluator, pdim, system.dim, max(order, 1), radius)
     rem = _validate_remainder(evaluator, poly, radius)
     return LeafChart(x.copy(), kind, max(order, 1), poly, radius, rem, evaluator, 0.0)
 
@@ -340,27 +342,21 @@ def _perturbed_chart(system, x, kind, order):
     theta = x.coords[6] - math.floor(x.coords[6])
     idxs = model._kind_indices(kind)
 
-    # map chart index -> (pair, slot) for the sheared pairs
-    pair_of = {}
-    for pair in model._sheared_pairs:
-        for slot, i in enumerate(pair):
-            pair_of[i] = (pair, slot)
-
     curves = {}  # chart index of the graph coordinate -> (coeffs, trans chart index)
     jet_error = 0.0
     if kind != "StrongUnstable":
-        for pair in model._sheared_pairs:
+        for pair in model.sheared_pairs:
             hit = [i for i in idxs if i in pair]
             if not hit:
                 continue
             rates = model.rates[list(pair)]
             vals = x.coords[list(pair)]
-            coeffs, g_ax, t_ax = _fiber_leaf_series(
-                model, vals, theta, rates, want_unstable, order
-            )
-            hi, _, _ = _fiber_leaf_series(
+            # the jet's coefficients do not depend on its length, so the
+            # truncation of the longer jet is the order-`order` jet
+            hi, g_ax, t_ax = _fiber_leaf_series(
                 model, vals, theta, rates, want_unstable, order + 2
             )
+            coeffs = hi[:order]
             grid = np.linspace(-radius, radius, 17)
             diff = max(
                 abs(
@@ -415,7 +411,7 @@ def leaf_chart(system: System, x: Point, kind: str, order: int = 3) -> LeafChart
         except Exception:
             rem = radius * math.sqrt(pdim)
         return LeafChart(x.copy(), kind, 0, poly, radius, rem, None, rem)
-    if system.kind == "BorelSmalePerturbed":
+    if system.model.sheared_pairs:
         return _perturbed_chart(system, x, kind, order)
     return _linear_chart(system, x, kind, order)
 
@@ -548,19 +544,6 @@ class Quadrilateral:
     leaf_params: np.ndarray
 
 
-def _uu_param_mask(system):
-    """Boolean mask over unstable leaf params marking the fast block."""
-    model = system.model
-    if system.kind in ("BorelSmale", "BorelSmalePerturbed"):
-        idxs = model._kind_indices("Unstable")
-        top = max(model.weights[i] for i in idxs)
-        return np.array([model.weights[i] == top for i in idxs])
-    if system.kind in ("ASL2Model", "SL3Model"):
-        return np.array([slot in model.uu_slots for slot in model.u_slots])
-    # one-dimensional unstable: the whole thing is the fast block
-    return np.array([True] * sysmod.leaf_dimension(system, "Unstable"))
-
-
 def build_quadrilateral(system: System, x: Point, s_disp, u_disp,
                         tol: float = 1e-11) -> Quadrilateral:
     """Four points of the leaf configuration plus the projection split."""
@@ -575,7 +558,8 @@ def build_quadrilateral(system: System, x: Point, s_disp, u_disp,
     else:
         target = leaf_chart(system, x_prime, "Unstable", order=3)
         proj, params, _ = stable_projection(system, u_x, target, tol=tol, return_params=True)
-    mask = _uu_param_mask(system)
+    rates = model.leaf_rates("Unstable")
+    mask = rates == rates.max()  # the fast block
     p_uu = np.where(mask, params, 0.0)
     p_u = np.where(mask, 0.0, params)
     d_xx = sysmod.dist(system, x, x_prime)

@@ -75,6 +75,11 @@ def wasserstein_1d(mu1: EmpiricalMeasure, mu2: EmpiricalMeasure) -> float:
     return float(np.sum(np.abs(cdf1[:-1] - cdf2[:-1]) * deltas))
 
 
+def _toral(system):
+    """Does the model return to its section by a toral automorphism?"""
+    return hasattr(system.model, "section_map")
+
+
 def _section_samples(model, c, times):
     """The toral orbit of c at the given times, in section coordinates.
 
@@ -88,7 +93,7 @@ def _section_samples(model, c, times):
     U = np.empty((n_units + 1, 2))
     U[0] = u - np.floor(u)
     for n in range(n_units):
-        u = model.A @ u
+        u = model.section_map @ u
         u -= np.floor(u)
         U[n + 1] = u
     tt = theta0 + times
@@ -150,13 +155,13 @@ def empirical_leaf_measure(system: System, x: Point, n_samples: int, window,
     positions = np.sort(gen.uniform(lo, hi, size=n_samples))
 
     if T_orbit is None:
-        T_orbit = 1.0e6 if system.kind == "CatSuspension" else 1.0e5
+        T_orbit = 1.0e6 if _toral(system) else 1.0e5
     e_leaf = system.model.leaf_dirs("StrongUnstable")[:, 0]
     base = sysmod.lattice_reduce(system, x).coords
     side = 2.0 ** (-box_level)
 
     times = np.arange(dt, T_orbit, dt)
-    if system.kind == "CatSuspension":
+    if _toral(system):
         rel = _cat_folded_displacements(system.model, base, x, times)
     else:
         pts = _orbit_sample_coords(system, x, times)
@@ -194,36 +199,16 @@ class TestFunction:
 def _section_coords(system, c):
     """Fiber coordinates pulled back to the roof-zero section, plus theta,
     for every row of an (N, dim) batch."""
-    model = system.model
     c = sysmod.batch_model(system).reduce(c)
-    theta = c[:, model.theta_index]
-    if system.kind == "CatSuspension":
-        return sysmod.matvec(model.power(-theta), c[:, :2]), theta
-    # pair models: ring-lattice coordinates of the three pairs at section level
-    w = c[:, :6] * np.exp(model.rates[:6] * -theta[:, None])
-    basis_inv = np.repeat(sysmod.RING_BASIS_INV[None], len(c), axis=0)
-    n = np.empty((len(c), 6))
-    for k, (i, j) in enumerate(((0, 1), (2, 3), (4, 5))):
-        n[:, 2 * k : 2 * k + 2] = sysmod.matvec(basis_inv, w[:, [i, j]])
-    return n, theta
+    return system.model.section_coords(c), c[:, system.model.theta_index]
 
 
 def equidistribution_tests(system: System):
     """Five bump-weighted trigonometric tests plus the constant."""
-    if system.kind == "CatSuspension":
-        ks = [(1, 0), (0, 1), (1, 1), (1, -1), (2, 1)]
-    elif system.kind in ("BorelSmale", "BorelSmalePerturbed"):
-        ks = [
-            (1, 0, 0, 0, 0, 0),
-            (0, 1, 0, 0, 0, 0),
-            (0, 0, 1, 0, 0, 0),
-            (1, 0, 1, 0, 0, 0),
-            (0, 1, 0, 1, 0, 0),
-        ]
-    else:
+    if not system.model.quotiented:
         raise Unsupported("equidistribution tests need a quotiented model")
     tests = [TestFunction("const", 1.0, 1.0, None, False)]
-    for i, k in enumerate(ks):
+    for i, k in enumerate(system.model.equidistribution_freqs):
         tests.append(
             TestFunction(f"sin{i}_{'_'.join(str(a) for a in k)}", 1.0, 0.0,
                          ("sin", tuple(k), 0.0), True)
@@ -233,12 +218,9 @@ def equidistribution_tests(system: System):
 
 def leafwise_test(system: System, normalised: bool = True) -> TestFunction:
     """Single-frequency test for the correlation law; Lipschitz-normalised."""
-    if system.kind == "CatSuspension":
-        k = (1, 0)
-    elif system.kind in ("BorelSmale", "BorelSmalePerturbed"):
-        k = (1, 0, 0, 0, 0, 0)
-    else:
+    if not system.model.quotiented:
         raise Unsupported("leafwise tests need a quotiented model")
+    k = system.model.equidistribution_freqs[0]
     lip = 2.0 * math.pi if normalised else 1.0
     return TestFunction("leafwise_sin", lip, 0.0, ("sin", k, 0.0), False)
 
@@ -295,7 +277,7 @@ def birkhoff_equidistribution(system: System, x: Point, tests, T: float,
     steps = _step_count(T, dt)
     times = np.arange(1, steps + 1) * dt
     refs = np.array([tf.reference for tf in tests])
-    if system.kind == "CatSuspension":
+    if _toral(system):
         sections, thetas, _ = _section_samples(system.model, x.coords, times)
     else:
         y = sysmod.lattice_reduce(system, x)
@@ -325,7 +307,7 @@ def _leaf_frequency_data(system, tf, x, t):
     phi(g_t h_u x) = sin(2 pi (K + w u)) for the single-frequency leafwise
     tests; exact on the toral suspension (phases iterated with reduction so
     they stay bounded)."""
-    if system.kind != "CatSuspension":
+    if not _toral(system):
         raise Unsupported("exact leaf frequencies implemented for CatSuspension")
     model = system.model
     sections, _, theta = _section_samples(model, x.coords, np.array([float(t)]))
@@ -333,7 +315,7 @@ def _leaf_frequency_data(system, tf, x, t):
     _, k, phase = tf.freq
     k = np.asarray(k, dtype=float)
     e_sec = model.power(-theta) @ model._V[:, 0]
-    w = float(k @ (np.linalg.matrix_power(model.A, n) @ e_sec))
+    w = float(k @ (np.linalg.matrix_power(model.section_map, n) @ e_sec))
     K = float(k @ sections[0]) + phase / (2.0 * math.pi)
     return K, w
 
@@ -376,7 +358,7 @@ def correlation_decay(system: System, x: Point, phi: TestFunction, t: float,
     if not (math.isfinite(t) and math.isfinite(s)):
         raise NonFinite("correlation times are not finite")
     if method == "auto":
-        method = "exact" if (system.kind == "CatSuspension" and phi.freq is not None
+        method = "exact" if (_toral(system) and phi.freq is not None
                              and not phi.bump) else "mc"
     if method == "exact":
         At, wt, pt = _f_amp_phase(system, phi, x, t)

@@ -53,8 +53,6 @@ LAMBDA_UNIT = (3.0 + SQRT5) / 2.0
 RING_BASIS = np.array([[1.0, PHI], [1.0, PHI_BAR]])
 RING_BASIS_INV = np.linalg.inv(RING_BASIS)
 
-KINDS = ("CatSuspension", "BorelSmale", "BorelSmalePerturbed", "ASL2Model", "SL3Model")
-
 LEAF_KINDS = ("Stable", "Unstable", "StrongUnstable", "CenterStable")
 
 
@@ -71,7 +69,6 @@ class Point:
     """A phase-space point in the model's fixed global chart."""
 
     coords: np.ndarray
-    reduced: bool = False
 
     def __post_init__(self):
         self.coords = np.asarray(self.coords, dtype=float)
@@ -79,7 +76,7 @@ class Point:
             raise NonFinite("point has non-finite coordinates")
 
     def copy(self) -> "Point":
-        return Point(self.coords.copy(), self.reduced)
+        return Point(self.coords.copy())
 
 
 @dataclass(frozen=True)
@@ -102,7 +99,6 @@ class System:
     dim: int
     flow_dim_split: tuple
     exact_exponents: list | None
-    metric: str
     spec: SystemSpec
     model: object
 
@@ -181,6 +177,8 @@ class _CatSuspension:
     batched = True
     chart_bound = 1e12
     qni_order = None
+    sheared_pairs = ()
+    equidistribution_freqs = ((1, 0), (0, 1), (1, 1), (1, -1), (2, 1))
 
     def __init__(self, matrix):
         A = np.asarray(matrix, dtype=float)
@@ -190,7 +188,7 @@ class _CatSuspension:
             raise InvalidParams("cat map matrix must have determinant 1")
         if np.trace(A) <= 2:
             raise InvalidParams("cat map matrix must be hyperbolic with positive spectrum")
-        self.A = A
+        self.section_map = A  # the toral automorphism the roof returns by
         evals, evecs = np.linalg.eig(A)
         order = np.argsort(evals)[::-1]
         evals, evecs = evals[order], evecs[:, order]
@@ -246,15 +244,25 @@ class _CatSuspension:
         out[..., 2] = theta
         return out
 
-    # leaves -----------------------------------------------------------
+    def section_coords(self, c):
+        """Fiber coordinates pulled back to the roof-zero section, per row of
+        a reduced (N, 3) batch."""
+        return matvec(self.power(-c[:, 2]), c[:, :2])
+
+    # leaves: one spectral block per leaf parameter -----------------------
+    _LEAF_BLOCKS = {"Unstable": (0,), "StrongUnstable": (0,), "Stable": (2,), "CenterStable": (2, 1)}
+
+    def _leaf_blocks(self, kind):
+        if kind not in self._LEAF_BLOCKS:
+            raise InvalidParams(f"unknown leaf kind {kind!r}")
+        return [self.blocks[i] for i in self._LEAF_BLOCKS[kind]]
+
     def leaf_dirs(self, kind):
-        if kind == "Unstable" or kind == "StrongUnstable":
-            return self.blocks[0].basis
-        if kind == "Stable":
-            return self.blocks[2].basis
-        if kind == "CenterStable":
-            return np.column_stack([self.blocks[2].basis, self.blocks[1].basis])
-        raise InvalidParams(f"unknown leaf kind {kind!r}")
+        return np.column_stack([b.basis for b in self._leaf_blocks(kind)])
+
+    def leaf_rates(self, kind):
+        """Growth rate of each leaf parameter, in leaf-parameter order."""
+        return np.array([b.rate for b in self._leaf_blocks(kind)])
 
     def leaf_translate(self, c, kind, params):
         params = np.atleast_1d(np.asarray(params, dtype=float))
@@ -281,34 +289,50 @@ class _CatSuspension:
 
 # chart coordinate order: x1 x2 y1 y2 z1 z2 theta
 _X1, _X2, _Y1, _Y2, _Z1, _Z2, _TH = range(7)
-_COPY1 = (_X1, _Y1, _Z1)
-_COPY2 = (_X2, _Y2, _Z2)
+_COPY1 = [_X1, _Y1, _Z1]
+_COPY2 = [_X2, _Y2, _Z2]
 
 
 def _pair_mult(l, r):
     """Product in N x N, polarised coordinates, on 6-vectors."""
     out = np.empty(6)
-    for (ix, iy, iz) in (_COPY1, _COPY2):
-        out[ix] = l[ix] + r[ix]
-        out[iy] = l[iy] + r[iy]
-        out[iz] = l[iz] + r[iz] + l[ix] * r[iy]
+    for copy in (_COPY1, _COPY2):
+        out[copy] = heisenberg_mult(l[copy], r[copy])
     return out
 
 
 def _pair_inverse(g):
     out = np.empty(6)
-    for (ix, iy, iz) in (_COPY1, _COPY2):
-        out[ix] = -g[ix]
-        out[iy] = -g[iy]
-        out[iz] = -g[iz] + g[ix] * g[iy]
+    for copy in (_COPY1, _COPY2):
+        out[copy] = heisenberg_inverse(g[copy])
     return out
 
 
-class _NilPairSuspension:
+class _AxisLeaves:
+    """Leaves whose parameters each move one chart axis (`_leaf_axes`)."""
+
+    sheared_pairs = ()
+
+    def leaf_dirs(self, kind):
+        return np.column_stack([_axis(self.dim, i) for i in self._leaf_axes(kind)])
+
+    def leaf_rates(self, kind):
+        """Growth rate of each leaf parameter, in leaf-parameter order."""
+        return self.rates[self._leaf_axes(kind)]
+
+
+class _NilPairSuspension(_AxisLeaves):
     kind = "BorelSmale"
     quotiented = True
     batched = False
     chart_bound = 1e300
+    equidistribution_freqs = (
+        (1, 0, 0, 0, 0, 0),
+        (0, 1, 0, 0, 0, 0),
+        (0, 0, 1, 0, 0, 0),
+        (1, 0, 1, 0, 0, 0),
+        (0, 1, 0, 1, 0, 0),
+    )
 
     def __init__(self, a, b, lam):
         if int(a) != a or int(b) != b or a == 0 or b == 0:
@@ -390,6 +414,16 @@ class _NilPairSuspension:
         out[_TH] = theta
         return out
 
+    def section_coords(self, c):
+        """Ring-lattice coordinates of the three pairs at section level, per
+        row of a reduced (N, 7) batch."""
+        w = c[:, :6] * np.exp(self.rates[:6] * -c[:, _TH, None])
+        basis_inv = np.repeat(RING_BASIS_INV[None], len(c), axis=0)
+        n = np.empty((len(c), 6))
+        for k, pair in enumerate(((_X1, _X2), (_Y1, _Y2), (_Z1, _Z2))):
+            n[:, 2 * k : 2 * k + 2] = matvec(basis_inv, w[:, pair])
+        return n
+
     # leaves -------------------------------------------------------------
     def _kind_indices(self, kind):
         w = self.weights
@@ -404,12 +438,16 @@ class _NilPairSuspension:
             return self._stable_idx  # theta handled separately
         raise InvalidParams(f"unknown leaf kind {kind!r}")
 
-    def leaf_dirs(self, kind):
+    def _leaf_axes(self, kind):
         idxs = self._kind_indices(kind)
-        cols = [_axis(7, i) for i in idxs]
-        if kind == "CenterStable":
-            cols.append(_axis(7, _TH))
-        return np.column_stack(cols)
+        return idxs + [_TH] if kind == "CenterStable" else idxs
+
+    def group_displacement(self, a, b):
+        """The group element b . a^-1 carrying chart point a to b (fibers only)."""
+        return _pair_mult(b[:6], _pair_inverse(a[:6]))
+
+    def stable_params_between(self, a, b):
+        return self.group_displacement(a, b)[self._stable_idx]
 
     def leaf_translate(self, c, kind, params):
         """Left-translate by the subgroup element with the given coordinates."""
@@ -453,7 +491,7 @@ class _NilPairSuspension:
         return self.leaf_translate(c, "StrongUnstable", [u])
 
 
-class _ToralPerturbedSuspension:
+class _ToralPerturbedSuspension(_AxisLeaves):
     """Abelianised variant with lattice-periodic shears on the torus fibers.
 
     Each sheared pair moves in its ring-lattice coordinates,
@@ -470,6 +508,8 @@ class _ToralPerturbedSuspension:
     batched = False
     chart_bound = 1e300
     exact_exponents = None
+    sheared_pairs = ((_Z1, _Z2), (_Y1, _Y2))
+    equidistribution_freqs = _NilPairSuspension.equidistribution_freqs
 
     def __init__(self, a, b, lam, eps_pert):
         base = _NilPairSuspension(a, b, lam)
@@ -493,7 +533,6 @@ class _ToralPerturbedSuspension:
         self.qni_order = 2
         self._unstable_idx = base._unstable_idx
         self._stable_idx = base._stable_idx
-        self._sheared_pairs = ((_Z1, _Z2), (_Y1, _Y2))
 
     # fiber shear in ring-lattice coordinates of the z-pair -------------
     def _shear(self, z_pair, sign):
@@ -543,7 +582,7 @@ class _ToralPerturbedSuspension:
 
         def shear_step():
             nonlocal v, J
-            for (i, j) in self._sheared_pairs:
+            for (i, j) in self.sheared_pairs:
                 pre = v[[i, j]].copy()
                 v[[i, j]] = self._shear(pre, sign)
                 if want_jac:
@@ -592,8 +631,9 @@ class _ToralPerturbedSuspension:
         return out
 
     # leaves: linear in the x/y pairs, curved in the z pair --------------
+    section_coords = _NilPairSuspension.section_coords
     _kind_indices = _NilPairSuspension._kind_indices
-    leaf_dirs = _NilPairSuspension.leaf_dirs
+    _leaf_axes = _NilPairSuspension._leaf_axes
 
     def leaf_translate(self, c, kind, params):
         """Only the fast block is a straight line here; other leaves are
@@ -615,6 +655,9 @@ class _ToralPerturbedSuspension:
 # chart-local homogeneous models (matrix groups)
 
 
+_LOGM_DRAWS = np.random.RandomState(0)
+
+
 def _logm_posreal(g):
     """Principal log of a real matrix with positive real spectrum.
 
@@ -627,13 +670,23 @@ def _logm_posreal(g):
             L = (V * np.log(w.real)) @ np.linalg.inv(V)
             if np.max(np.abs(L.imag)) < 1e-9:
                 return L.real
-    L = scipy.linalg.logm(g)
+    # logm's 1-norm estimator draws random signs with np.random.randint; point
+    # that at a private generator, reseeded per call, so the result is fixed
+    # and the caller's global state is neither read nor advanced.  (Saving and
+    # restoring the global state instead costs a tenth of the logm call.)
+    _LOGM_DRAWS.seed(0)
+    shared = np.random.randint
+    np.random.randint = _LOGM_DRAWS.randint
+    try:
+        L = scipy.linalg.logm(g)
+    finally:
+        np.random.randint = shared
     if np.max(np.abs(np.asarray(L).imag)) > 1e-8:
         raise NonFinite("matrix log left the real chart")
     return np.asarray(L).real
 
 
-class _MatrixGroupModel:
+class _MatrixGroupModel(_AxisLeaves):
     """Common machinery for ASL2Model and SL3Model.
 
     Points are stored as (xi, sigma): Lie-algebra coordinates in a fixed
@@ -749,21 +802,20 @@ class _MatrixGroupModel:
             h = h + extra[1] * self.H_neutral
         return np.diag(np.exp(np.diag(h)))  # both generators are diagonal
 
-    def leaf_dirs(self, kind):
-        """First-order chart directions of the leaf parameters at any point."""
-        cols = []
-        for (i, j) in self._entry_slots(kind):
-            E = np.zeros((self.n, self.n))
-            E[i, j] = 1.0
-            for k, B in enumerate(self.basis):
-                if B is not None and np.allclose(B, E):
-                    cols.append(_axis(self.dim, k))
-                    break
+    def _leaf_axes(self, kind):
+        """The basis matrix of each entry slot, then the Cartan directions."""
+        axes = [next(k for k, B in enumerate(self.basis) if B is not None and B[slot] == 1.0)
+                for slot in self._entry_slots(kind)]
         if kind == "CenterStable":
-            cols.append(_axis(self.dim, self.theta_index))
+            axes.append(self.theta_index)
             if hasattr(self, "H_neutral_index"):
-                cols.append(_axis(self.dim, self.H_neutral_index))
-        return np.column_stack(cols)
+                axes.append(self.H_neutral_index)
+        return axes
+
+    def stable_params_between(self, a, b):
+        """Entries of g(b) g(a)^-1 at the stable slots."""
+        M = self.matrix_from_coords(b) @ np.linalg.inv(self.matrix_from_coords(a))
+        return np.array([M[slot] for slot in self.s_slots])
 
     def cs_u_factorize(self, x, xp):
         """Weight-sorted LU split  g(x) g(xp)^-1 = (lower . cartan) (unit upper)."""
@@ -911,7 +963,6 @@ def make_system(spec: SystemSpec) -> System:
         dim=model.dim,
         flow_dim_split=tuple(model.split),
         exact_exponents=exact,
-        metric="flat",
         spec=spec,
         model=model,
     )
@@ -960,7 +1011,7 @@ def _flow(model, c, t, reduce):
 def flow(system: System, x: Point, t: float, reduce: bool = True) -> Point:
     """Evaluate g_t(x).  Quotiented models return the lattice-reduced point."""
     reduce = reduce and system.model.quotiented
-    return Point(_flow(system.model, x.coords, float(t), reduce), reduced=reduce)
+    return Point(_flow(system.model, x.coords, float(t), reduce))
 
 
 def flow_rows(system: System, c: np.ndarray, t) -> np.ndarray:
@@ -982,7 +1033,7 @@ def lattice_reduce(system: System, x: Point) -> Point:
     """Canonical fundamental-domain representative of the coset of x."""
     if not system.model.quotiented:
         raise Unsupported(f"{system.kind} operates on a local chart; no lattice is configured")
-    return Point(system.model.reduce(x.coords), reduced=True)
+    return Point(system.model.reduce(x.coords))
 
 
 def reduce_rows(system: System, c: np.ndarray) -> np.ndarray:
@@ -997,11 +1048,7 @@ def dist(system: System, p: Point, q: Point) -> float:
 
 def leaf_translate(system: System, x: Point, kind: str, params) -> Point:
     """Point on the `kind` leaf of x with the given leaf parameters."""
-    m = system.model
-    if hasattr(m, "leaf_translate"):
-        return Point(m.leaf_translate(x.coords, kind, params))
-    params = np.atleast_1d(np.asarray(params, dtype=float))
-    return Point(x.coords + m.leaf_dirs(kind) @ params)
+    return Point(system.model.leaf_translate(x.coords, kind, params))
 
 
 def stable_translate(system, x, params):
@@ -1038,7 +1085,7 @@ def random_point(system: System, rng) -> Point:
     """Seeded generic point (reduced on quotient models, small on local charts)."""
     c = rng.uniform(0.0, 1.0, size=system.dim)
     if system.model.quotiented:
-        return Point(system.model.reduce(c), reduced=True)
+        return Point(system.model.reduce(c))
     return Point(0.2 * (c - 0.5))
 
 

@@ -37,6 +37,23 @@ def test_chart_value_at_zero_is_base():
             assert np.allclose(z, x.coords, atol=1e-10)
 
 
+def test_sl3_chart_leaves_the_global_random_state_alone():
+    # the SL3 chart evaluator falls back to scipy's logm, whose 1-norm
+    # estimator draws from numpy's global random state
+    system = make("SL3Model")
+    x = pt(system, 3)
+    np.random.seed(1)
+    before = np.random.get_state()
+    chart = L.leaf_chart(system, x, "StrongUnstable", order=4)
+    after = np.random.get_state()
+    assert before[1].tobytes() == after[1].tobytes() and before[2:] == after[2:]
+    np.random.seed(2)
+    again = L.leaf_chart(system, x, "StrongUnstable", order=4)
+    assert chart.coeffs.terms.keys() == again.coeffs.terms.keys()
+    for exps, vec in chart.coeffs.terms.items():
+        assert vec.tobytes() == again.coeffs.terms[exps].tobytes()
+
+
 def test_first_order_term_is_isometric():
     system = make("BorelSmale")
     ch = L.leaf_chart(system, pt(system, 2), "Unstable", order=2)

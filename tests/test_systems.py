@@ -1,6 +1,8 @@
 """System catalog: group laws, cocycles, reductions, exact spectra."""
 
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -410,3 +412,32 @@ def test_unknown_kind_rejected():
         make("NoSuchModel")
     with pytest.raises(InvalidParams):
         make("BorelSmale", bogus=1)
+
+
+# ---------------------------------------------------------------------------
+# capabilities: what the pipelines read instead of the kind string
+
+
+@pytest.mark.parametrize("kind", LINEAR_KINDS)
+@pytest.mark.parametrize("leaf", ("Stable", "Unstable", "StrongUnstable"))
+@given(point=st.tuples(*[_coord] * 8))
+def test_leaf_rates_are_growth_rates_of_leaf_directions(kind, leaf, point):
+    system = make(kind)
+    D = S.tangent_flow(system, S.Point(np.array(point[: system.dim])), 1.0)
+    dirs = system.model.leaf_dirs(leaf)
+    rates = system.model.leaf_rates(leaf)
+    assert len(rates) == dirs.shape[1]
+    for j, rate in enumerate(rates):
+        assert abs(rate - math.log(np.linalg.norm(D @ dirs[:, j]))) <= 1e-12
+
+
+def test_pipelines_do_not_branch_on_the_system_kind():
+    pattern = re.compile(r"\.kind\s*(==|!=|\bin\b|\bnot\s+in\b)")
+    src = Path(S.__file__).parent
+    hits = [
+        f"{name}.py:{n}: {line.strip()}"
+        for name in ("cocycle", "factorize", "leafgeom", "measures")
+        for n, line in enumerate((src / f"{name}.py").read_text().splitlines(), 1)
+        if pattern.search(line)
+    ]
+    assert hits == []
