@@ -3,7 +3,8 @@
 Exponents via the QR recursion along an orbit, splittings from the
 intersection of forward- and backward-propagated flags, truncated adapted
 (Pesin-type) norms, regular-set densities, and the scalar growth cocycle on
-the second expanding line used by the stopping-time machinery.
+the second expanding line used by the stopping-time machinery.  The cocycle
+restricted to invariant sub-bundles is one orbit walk carrying its splitting.
 """
 
 from __future__ import annotations
@@ -68,16 +69,15 @@ def lyapunov_spectrum(system: System, x0: Point, T: float, dt_qr: float = 1.0,
     burn = max(1, steps // 10)
     gen = rngmod.derive(seed, "lyapunov_spectrum")
     Q, _ = np.linalg.qr(np.eye(n) + 0.01 * gen.standard_normal((n, n)))
-    x = x0.copy()
+    walk = _Walk(system, x0, dt_qr)
     logs = np.zeros((steps - burn, n))
     bound = getattr(system.model, "chart_bound", np.inf)
     for k in range(steps):
         try:
-            M = sysmod.tangent_flow(system, x, dt_qr)
-            x = sysmod.flow(system, x, dt_qr)
+            M = walk.step()
         except NonFinite as exc:
             raise DegenerateOrbit("orbit left the configured chart") from exc
-        if not system.model.quotiented and np.max(np.abs(x.coords)) > 0.99 * bound:
+        if not system.model.quotiented and np.max(np.abs(walk.point.coords)) > 0.99 * bound:
             raise DegenerateOrbit("orbit left the configured chart")
         Q, R = np.linalg.qr(M @ Q)
         d = np.abs(np.diag(R))
@@ -126,10 +126,9 @@ def _propagated_flag(system, x, T, dt, forward):
     the flag really lives at x."""
     steps = max(1, int(round(T / dt)))
     sgn = 1.0 if forward else -1.0
-    reduce = system.model.quotiented
     pts = [x]
     for _ in range(steps):
-        pts.append(sysmod.flow(system, pts[-1], -sgn * dt, reduce=reduce))
+        pts.append(sysmod.flow(system, pts[-1], -sgn * dt))
     # generic initial frame; axis-aligned frames can sit on invariant subspaces
     gen = rngmod.derive(7, "propagated_flag")
     Q, _ = np.linalg.qr(gen.standard_normal((system.dim, system.dim)))
@@ -158,29 +157,20 @@ def oseledets_splitting(system: System, x: Point, T_forward: float = 40.0,
     """
     model = system.model
     if system.exact_exponents is not None:
-        blocks = model.blocks
-        subs = [(b.rate, b.basis.copy()) for b in blocks]
-        theta = _min_principal_angle([b.basis for b in blocks])
-        if theta < 1e-8:
-            raise IllConditioned("splitting angle below threshold")
-        return Splitting(point=x.copy(), subspaces=subs, theta=theta)
-
-    dt = 1.0
-    U = _propagated_flag(system, x, T_backward, dt, forward=True)
-    S = _propagated_flag(system, x, T_forward, dt, forward=False)
-    # group target exponents from the declared weights (measured systems carry
-    # reference rates; ties merge into one block)
-    rates = sorted({round(float(r), 12) for r in model.rates}, reverse=True)
-    dims = [int(np.sum(np.isclose(model.rates, r))) for r in rates]
-    n = system.dim
-    subs = []
-    c = 0
-    for r, k in zip(rates, dims):
-        top = U[:, : c + k]
-        rest = S[:, : n - c]
-        E = _subspace_intersection(top, rest, k)
-        subs.append((float(r), E))
-        c += k
+        subs = [(b.rate, b.basis.copy()) for b in model.blocks]
+    else:
+        U = _propagated_flag(system, x, T_backward, 1.0, forward=True)
+        S = _propagated_flag(system, x, T_forward, 1.0, forward=False)
+        # group target exponents from the declared weights (measured systems
+        # carry reference rates; ties merge into one block)
+        rates = sorted({round(float(r), 12) for r in model.rates}, reverse=True)
+        dims = [int(np.sum(np.isclose(model.rates, r))) for r in rates]
+        subs = []
+        c = 0
+        for r, k in zip(rates, dims):
+            E = _subspace_intersection(U[:, : c + k], S[:, : system.dim - c], k)
+            subs.append((float(r), E))
+            c += k
     theta = _min_principal_angle([b for _, b in subs])
     if theta < 1e-8:
         raise IllConditioned("splitting angle below threshold")
@@ -191,13 +181,37 @@ def decompose(splitting: Splitting, v: np.ndarray) -> list:
     """Components of v in the splitting blocks (sums back to v)."""
     basis = np.column_stack([b for _, b in splitting.subspaces])
     coef = np.linalg.solve(basis, v)
-    out = []
-    c = 0
-    for _, B in splitting.subspaces:
-        k = B.shape[1]
-        out.append(B @ coef[c : c + k])
-        c += k
-    return out
+    ends = np.cumsum([b.shape[1] for _, b in splitting.subspaces])[:-1]
+    return [b @ c for (_, b), c in zip(splitting.subspaces, np.split(coef, ends))]
+
+
+class _Walk:
+    """Orbit of x in flow steps of h carrying the derivative cocycle, and the
+    splitting at its current point, built on first use (so at most once per
+    visited point; exact constant blocks are built once per walk)."""
+
+    def __init__(self, system: System, x: Point, h: float):
+        self.system, self.h, self.point = system, h, x
+        self._splitting = None
+
+    @property
+    def splitting(self) -> Splitting:
+        if self._splitting is None:
+            self._splitting = oseledets_splitting(self.system, self.point)
+        return self._splitting
+
+    def step(self) -> np.ndarray:
+        """Move one step along the orbit; return the derivative over it."""
+        D = sysmod.tangent_flow(self.system, self.point, self.h)
+        self.point = sysmod.flow(self.system, self.point, self.h)
+        if self.system.exact_exponents is None:
+            self._splitting = None
+        return D
+
+    def project(self, v: np.ndarray, blocks) -> np.ndarray:
+        """Component of v in the listed blocks of the current splitting."""
+        comps = decompose(self.splitting, v)
+        return sum((comps[i] for i in blocks[1:]), comps[blocks[0]])
 
 
 def default_norm_params(system: System) -> LyapunovNormParams:
@@ -248,7 +262,8 @@ def lyapunov_norm(system: System, splitting: Splitting, v: np.ndarray,
 
 
 def _restricted_norm(system, splitting, comps, taus, weights, params):
-    """Blockwise sums with per-step re-projection onto the measured blocks."""
+    """Blockwise sums, each block's component carried unnormalised along one
+    forward and one backward walk and re-projected onto its block."""
     dtau = params.dtau
     n_steps = int(round(params.T_trunc / dtau))
     weight_of = {round(float(t) / dtau): w for t, w in zip(taus, weights)}
@@ -256,24 +271,18 @@ def _restricted_norm(system, splitting, comps, taus, weights, params):
     def sweep(direction):
         # returns per-block squared sums over tau = direction * (dtau .. T)
         sums = [0.0] * len(comps)
-        vs = [c.copy() for c in comps]
-        scale = [1.0] * len(comps)
-        y = splitting.point.copy()
+        vs = list(comps)
+        walk = _Walk(system, splitting.point, direction * dtau)
         for k in range(1, n_steps + 1):
-            D = sysmod.tangent_flow(system, y, direction * dtau)
-            y = sysmod.flow(system, y, direction * dtau, reduce=system.model.quotiented)
-            sp = oseledets_splitting(system, y)
+            D = walk.step()
             tau = direction * k * dtau
             for i, (lam, _) in enumerate(splitting.subspaces):
                 if np.linalg.norm(vs[i]) == 0.0:
                     continue
-                w = D @ vs[i]
-                w = decompose(sp, w)[i]
-                vs[i] = w
-                val = scale[i] ** 2 * float(np.dot(w, w))
+                vs[i] = walk.project(D @ vs[i], [i])
                 sums[i] += (
                     math.exp(-2.0 * lam * tau - 2.0 * params.epsilon * abs(tau))
-                    * val
+                    * float(np.dot(vs[i], vs[i]))
                     * weight_of[round(tau / dtau)]
                 )
         return sums
@@ -310,12 +319,17 @@ def regular_set_density(system: System, x: Point, T: float, theta_min: float,
 # the scalar cocycle on the second expanding line
 
 
-def second_line(splitting: Splitting) -> np.ndarray:
-    """Unit frame of the second expanding block (the rank-one quotient line)."""
-    pos = [(e, B) for e, B in splitting.subspaces if e > 1e-12]
+def _second_block_index(splitting: Splitting) -> int:
+    """Index of the second expanding block (the rank-one quotient line)."""
+    pos = [i for i, e in enumerate(splitting.exponents) if e > 1e-12]
     if len(pos) < 2:
         raise IllConditioned("system has no second expanding direction")
-    B = pos[1][1]
+    return pos[1]
+
+
+def second_line(splitting: Splitting) -> np.ndarray:
+    """Unit frame of the second expanding block (the rank-one quotient line)."""
+    B = splitting.block(_second_block_index(splitting))
     return B[:, 0] / np.linalg.norm(B[:, 0])
 
 
@@ -334,12 +348,10 @@ def transport(system: System, x: Point, t: float, dt: float = 1.0):
     lattice reduction (single-call tangent_flow lives on the cover).
     Returns (matrix, endpoint).
     """
-    reduce = system.model.quotiented
     steps = max(1, int(round(abs(t) / dt)))
-    h = t / steps
+    walk = _Walk(system, x, t / steps)
     D = np.eye(system.dim)
-    y = x.copy()
     for _ in range(steps):
-        D = sysmod.tangent_flow(system, y, h) @ D
-        y = sysmod.flow(system, y, h, reduce=reduce)
-    return D, y
+        D = walk.step() @ D
+    return D, walk.point
+

@@ -81,29 +81,27 @@ class _GrowthProfile:
     blocks at every step (the restricted cocycle on the stable sub-bundle);
     without it, round-off leakage into the fastest direction eventually
     swamps a contracting vector.  Exact-splitting models have no leakage.
+    ``direction=None`` starts from the second-line frame at x.
     """
 
     def __init__(self, system, x, direction, t_max, dt=0.5, project=None):
         self.dt = dt
         steps = int(math.ceil(t_max / dt)) + 1
+        walk = comod._Walk(system, x, dt)
+        if direction is None:
+            direction = comod.second_line(walk.splitting)
         v = np.asarray(direction, dtype=float)
         nv = np.linalg.norm(v)
         v = v / nv if nv > 0 else v
         do_project = project == "stable" and system.exact_exponents is None
         logs = [0.0]
         vecs = [v.copy()]
-        y = x.copy()
         acc = 0.0
         for _ in range(steps):
-            D = sysmod.tangent_flow(system, y, dt)
-            v = D @ v
-            y = sysmod.flow(system, y, dt)
+            v = walk.step() @ v
             if do_project:
-                sp = comod.oseledets_splitting(system, y)
-                comps = comod.decompose(sp, v)
-                v = sum(
-                    c for (e, _), c in zip(sp.subspaces, comps) if e < -1e-9
-                )
+                exps = walk.splitting.exponents
+                v = walk.project(v, [i for i, e in enumerate(exps) if e < -1e-9])
             n = float(np.linalg.norm(v))
             if n == 0.0:
                 logs.extend([-math.inf] * (steps - len(logs) + 1))
@@ -130,11 +128,6 @@ class _GrowthProfile:
         return float((1 - frac) * self.logs[k] + frac * self.logs[k + 1])
 
 
-def _second_direction(system: System, x: Point) -> np.ndarray:
-    sp = comod.oseledets_splitting(system, x)
-    return comod.second_line(sp)
-
-
 # ---------------------------------------------------------------------------
 # scalar holonomy and identification maps
 
@@ -145,35 +138,6 @@ class HolonomyResult:
     tail_bound: float
     T_used: float
     increments: list = field(default_factory=list)
-
-
-def _quotient_increment(system, p, v):
-    """(log growth of the second-line component of v over one time unit,
-    transported second-line vector, next point).
-
-    The carried vector is re-projected onto the measured second block, which
-    is the cocycle restricted to that line; without it round-off leakage into
-    the fastest direction would take over after a dozen steps."""
-    sp = comod.oseledets_splitting(system, p)
-    comps = comod.decompose(sp, v)
-    idx = _second_block_index(sp)
-    c0 = float(np.linalg.norm(comps[idx]))
-    D = sysmod.tangent_flow(system, p, 1.0)
-    w = D @ v
-    p1 = sysmod.flow(system, p, 1.0)
-    sp1 = comod.oseledets_splitting(system, p1)
-    w2 = comod.decompose(sp1, w)[idx]
-    c1 = float(np.linalg.norm(w2))
-    if c0 <= 0.0 or c1 <= 0.0:
-        raise IllConditioned("second-line component vanished")
-    return math.log(c1 / c0), w2 / c1, p1
-
-
-def _second_block_index(splitting) -> int:
-    pos = [i for i, (e, _) in enumerate(splitting.subspaces) if e > 1e-12]
-    if len(pos) < 2:
-        raise IllConditioned("system has no second expanding direction")
-    return pos[1]
 
 
 def _forward_convergence_ok(system, x, z, T):
@@ -207,18 +171,33 @@ def holonomy_limit(system: System, x: Point, z: Point, T_max: float = 30.0,
     Increments are summed until they fall below tol; the tail bound comes
     from the fitted geometric decay of the increment sizes, guarded by the
     recent increment scale."""
-    if not _forward_convergence_ok(system, x, z, T_max):
+    return _holonomy(system, comod._Walk(system, x, 1.0), z, T_max, tol)[0]
+
+
+def _holonomy(system, walk_x, z, T_max, tol):
+    """holonomy_limit from a unit-step walk at x, and the splittings at x and z.
+
+    Each walk carries a second-line vector re-projected onto its block."""
+    if not _forward_convergence_ok(system, walk_x.point, z, T_max):
         raise NotStablyRelated("forward orbits fail to converge")
-    px, pz = x.copy(), z.copy()
-    vx = _second_direction(system, px)
-    vz = _second_direction(system, pz)
+    walks = [walk_x, comod._Walk(system, z, 1.0)]
+    start = [w.splitting for w in walks]
+    idx = comod._second_block_index(start[0])
+    vecs = [comod.second_line(sp) for sp in start]
     total = 0.0
     increments = []
     T_used = 0.0
     for k in range(int(T_max)):
-        ax, vx, px = _quotient_increment(system, px, vx)
-        az, vz, pz = _quotient_increment(system, pz, vz)
-        d = az - ax
+        growth = []
+        for j, walk in enumerate(walks):
+            c0 = float(np.linalg.norm(walk.project(vecs[j], [idx])))
+            w = walk.project(walk.step() @ vecs[j], [idx])
+            c1 = float(np.linalg.norm(w))
+            if c0 <= 0.0 or c1 <= 0.0:
+                raise IllConditioned("second-line component vanished")
+            growth.append(math.log(c1 / c0))
+            vecs[j] = w / c1
+        d = growth[1] - growth[0]
         increments.append(d)
         total += d
         T_used = k + 1.0
@@ -238,7 +217,7 @@ def holonomy_limit(system: System, x: Point, z: Point, T_max: float = 30.0,
     return HolonomyResult(
         value=float(math.exp(total)), tail_bound=float(tail), T_used=T_used,
         increments=increments,
-    )
+    ), start
 
 
 def identification_map(system: System, p: Point, q_frame=None, r_frame=None) -> float:
@@ -247,9 +226,12 @@ def identification_map(system: System, p: Point, q_frame=None, r_frame=None) -> 
 
     The canonical frames are the measured second-line direction itself, so
     linear models with orthogonal axes give exactly 1."""
-    sp = comod.oseledets_splitting(system, p)
-    idx = _second_block_index(sp)
-    e2 = sp.subspaces[idx][1][:, 0]
+    return _identification(comod.oseledets_splitting(system, p), q_frame, r_frame)
+
+
+def _identification(sp, q_frame, r_frame) -> float:
+    idx = comod._second_block_index(sp)
+    e2 = sp.block(idx)[:, 0]
     qf = e2 if q_frame is None else np.asarray(q_frame, dtype=float)
     rf = e2 if r_frame is None else np.asarray(r_frame, dtype=float)
     cq = float(np.linalg.norm(comod.decompose(sp, qf)[idx]))
@@ -265,12 +247,21 @@ def operator_B(system: System, z: Point, x: Point, q_frame_x=None, r_frame_x=Non
 
     The clock mismatch between the two points contributes the second-line
     cocycle over the offset."""
+    return _operator_B(system, z, comod._Walk(system, x, 1.0), T_max,
+                       q_frame_x, r_frame_x, q_frame_z, r_frame_z)
+
+
+def _operator_B(system, z, walk_x, T_max, q_frame_x=None, r_frame_x=None,
+                q_frame_z=None, r_frame_z=None):
+    """operator_B from a unit-step walk at x, which may hold x's splitting."""
+    x = walk_x.point
     clock = system.model.theta_index
     s_off = float(z.coords[clock] - x.coords[clock])
-    x1 = sysmod.flow(system, x, s_off, reduce=False) if s_off != 0.0 else x
-    L = holonomy_limit(system, x1, z, T_max=T_max)
-    I_x1 = identification_map(system, x1, q_frame_x, r_frame_x)
-    I_z = identification_map(system, z, q_frame_z, r_frame_z)
+    if s_off != 0.0:
+        walk_x = comod._Walk(system, sysmod.flow(system, x, s_off, reduce=False), 1.0)
+    L, (sp_x1, sp_z) = _holonomy(system, walk_x, z, T_max, 1e-12)
+    I_x1 = _identification(sp_x1, q_frame_x, r_frame_x)
+    I_z = _identification(sp_z, q_frame_z, r_frame_z)
     flow_factor = math.exp(-comod.cocycle_lambda2(system, x, s_off)) if s_off else 1.0
     # recorded with the source-frame covariance: doubling the frame on the
     # backward-flag line at z halves the scalar
@@ -333,11 +324,16 @@ def stable_frame_vector(system: System, q: Point, s_params) -> np.ndarray:
     sp = comod.oseledets_splitting(system, q)
     v = np.zeros(system.dim)
     for val, rate in zip(s_params, model.leaf_rates("Stable")):
-        blk = [B for e, B in sp.subspaces if abs(e - rate) < 1e-6]
-        if not blk:
-            raise IllConditioned("no measured block at the requested rate")
-        v += val * blk[0][:, 0]
+        v += val * sp.block(_block_at_rate(sp, rate))[:, 0]
     return v
+
+
+def _block_at_rate(sp, rate) -> int:
+    """Index of the measured block whose exponent is the given model rate."""
+    for i, e in enumerate(sp.exponents):
+        if abs(e - rate) < 1e-6:
+            return i
+    raise IllConditioned("no measured block at the requested rate")
 
 
 def build_transfer(system: System, q1: Point, u: float, ell: float,
@@ -374,14 +370,8 @@ def build_transfer(system: System, q1: Point, u: float, ell: float,
         # blocks, and place the companion on the curved stable leaf chart
         sp_h = comod.oseledets_splitting(system, q_half)
         comps = comod.decompose(sp_h, v_half)
-        stable_blocks = [i for i, (e, _) in enumerate(sp_h.subspaces) if e < -1e-9]
-        s_half_params = np.zeros(len(stable_rates))
-        for slot, rate in enumerate(stable_rates):
-            blk = [b for b in stable_blocks if abs(sp_h.subspaces[b][0] - rate) < 1e-6]
-            if blk:
-                s_half_params[slot] = float(
-                    np.dot(comps[blk[0]], sp_h.subspaces[blk[0]][1][:, 0])
-                )
+        blocks = [_block_at_rate(sp_h, rate) for rate in stable_rates]
+        s_half_params = np.array([np.dot(comps[b], sp_h.block(b)[:, 0]) for b in blocks])
         chart_s = lgmod.leaf_chart(system, q_half, "Stable", order=4)
         q_half_prime = Point(chart_s.evaluate(s_half_params))
     else:
@@ -422,12 +412,12 @@ def build_transfer(system: System, q1: Point, u: float, ell: float,
     # growth profile of the second line along the orbit of x
     beta = apriori_beta(system)
     horizon = ell / 2.0 + beta * ell + 2.0
-    e2_dir = _second_direction(system, x)
-    profile = _GrowthProfile(system, x, e2_dir, horizon)
+    walk_x = comod._Walk(system, x, 1.0)
+    profile = _GrowthProfile(system, x, comod.second_line(walk_x.splitting), horizon)
 
     if measure_B is None:
         measure_B = system.exact_exponents is None
-    B = operator_B(system, z, x, T_max=min(20.0, max(6.0, ell))) if measure_B else 1.0
+    B = _operator_B(system, z, walk_x, min(20.0, max(6.0, ell))) if measure_B else 1.0
 
     grow_half = math.exp(profile(ell / 2.0))
     e2_half = float(w_params[e2_slot]) + r1 / grow_half
@@ -535,11 +525,8 @@ def t2_solve(system: System, q1: Point, u: float, t: float,
     """Solve the second-line cocycle matching equation by monotone bisection."""
     uq1 = sysmod.strong_unstable_translate(system, q1, [u])
     horizon = max(4.0, 2.5 * t + 2.0)
-    e2_u = _second_direction(system, uq1)
-    prof_u = _GrowthProfile(system, uq1, e2_u, horizon)
-    target = prof_u(t)
-    e2_q = _second_direction(system, q1)
-    prof_q = _GrowthProfile(system, q1, e2_q, horizon)
+    target = _GrowthProfile(system, uq1, None, horizon)(t)
+    prof_q = _GrowthProfile(system, q1, None, horizon)
     # monotonicity check over unit windows
     probes = np.arange(0.0, min(horizon, 2.0 * t + 1.0), 1.0)
     vals = [prof_q(p) for p in probes]
@@ -630,7 +617,7 @@ def bilipschitz_check(system: System, q1: Point, u: float, ell_grid, s_grid,
     # measured second-line rates along the fast-displacement orbit
     uq1 = sysmod.strong_unstable_translate(system, q1, [u])
     horizon = max(taus.values()) + 2.0
-    prof = _GrowthProfile(system, uq1, _second_direction(system, uq1), horizon)
+    prof = _GrowthProfile(system, uq1, None, horizon)
     windows = np.arange(0.0, horizon - 1.0, 1.0)
     lam2_rates = [prof(w + 1.0) - prof(w) for w in windows]
     lam2_min, lam2_max = min(lam2_rates), max(lam2_rates)

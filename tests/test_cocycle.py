@@ -100,6 +100,18 @@ def test_measured_splitting_matches_reference_rates():
     assert sp.theta > 1.0  # shears are small
 
 
+def test_unperturbed_measured_blocks_are_the_reference_axes():
+    system = make("BorelSmalePerturbed", eps_pert=0.0)
+    assert system.exact_exponents is None  # the measured path runs
+    for seed in (0, 1):
+        sp = C.oseledets_splitting(system, pt(system, seed))
+        assert len(sp.subspaces) == len(system.model.blocks)
+        for (e, B), ref in zip(sp.subspaces, system.model.blocks):
+            assert abs(e - ref.rate) <= 1e-12
+            R = ref.basis
+            assert np.max(np.abs(B @ B.T - R @ R.T)) <= 1e-12
+
+
 def test_measured_splitting_equivariance():
     # hyperbolic blocks are fiber-only and deck-invariant, so reduced and
     # cover bookkeeping agree for them; the neutral direction involves the
@@ -158,6 +170,18 @@ def test_lyapunov_norm_growth_telescopes_on_constant_cocycle():
             system, sp, v
         )
         assert abs(math.log(g) - e * t) <= 1e-9
+
+
+def test_unperturbed_measured_lyapunov_norm_matches_exact_branch():
+    # at eps_pert = 0 the restricted-cocycle sums must reproduce the exact
+    # model's single-derivative sums at the same point
+    pert = make("BorelSmalePerturbed", eps_pert=0.0)
+    exact = make("BorelSmale")
+    x = pt(pert, 0)
+    v = np.random.default_rng(0).standard_normal(7)
+    measured = C.lyapunov_norm(pert, C.oseledets_splitting(pert, x), v)
+    reference = C.lyapunov_norm(exact, C.oseledets_splitting(exact, x), v)
+    assert abs(measured - reference) <= 1e-12 * reference
 
 
 def test_lyapunov_norm_two_sided_growth_bound():

@@ -69,6 +69,47 @@ def test_holonomy_increments_decay_on_perturbed():
     assert slope <= -0.5 * lam_c  # contraction-driven decay
 
 
+def _count_splittings(monkeypatch):
+    """Record the point bytes of every oseledets_splitting call."""
+    calls = []
+    original = C.oseledets_splitting
+
+    def counting(system, x, *args, **kwargs):
+        calls.append(x.coords.tobytes())
+        return original(system, x, *args, **kwargs)
+
+    monkeypatch.setattr(C, "oseledets_splitting", counting)
+    return calls
+
+
+def _stable_companion(seed):
+    from anosovlab import leafgeom as L
+
+    x = pt(PERT, seed)
+    chart = L.leaf_chart(PERT, x, "Stable", order=6)
+    return x, S.Point(chart.evaluate(np.array([0.04, 0.06, 0.05])))
+
+
+def test_holonomy_builds_each_splitting_once(monkeypatch):
+    # the two walks carry their splittings: one at each start point and one
+    # at each point reached, with the start frames taken from step 0's
+    x, z = _stable_companion(3)
+    calls = _count_splittings(monkeypatch)
+    res = F.holonomy_limit(PERT, x, z, T_max=8, tol=0.0)
+    assert res.T_used == 8.0
+    assert len(calls) == 2 + 2 * int(res.T_used)
+    assert len(set(calls)) == len(calls)
+
+
+def test_operator_b_builds_no_splitting_twice(monkeypatch):
+    # the identification scalars read the splittings the holonomy walks hold
+    x, z = _stable_companion(3)
+    calls = _count_splittings(monkeypatch)
+    F.operator_B(PERT, z, x, T_max=6)
+    assert calls
+    assert len(set(calls)) == len(calls)
+
+
 def test_holonomy_truncation_consistency():
     # linear leaves: increments vanish, so truncation depth cannot matter
     x = pt(BS, 91)
@@ -376,3 +417,17 @@ def test_singular_avoidance_oracle_ten_thousand_maps():
             opn = float(np.linalg.norm(A, 2))
             assert np.linalg.norm(A @ v) >= rho * opn - 1e-12
             assert np.linalg.norm(A @ v) <= opn + 1e-12
+
+
+# ---------------------------------------------------------------------------
+# eps_pert = 0: the measured path against the closed forms
+
+
+def test_unperturbed_stopping_time_matches_closed_form():
+    system = make("BorelSmalePerturbed", eps_pert=0.0)
+    resolution = F.DT_TRACE / 2 ** (F.REFINEMENTS + 1)
+    for seed in (0, 1):
+        rec = F.stopping_time(system, pt(system, seed), u=0.3, ell=13.0, epsilon=0.02)
+        assert not rec.never_reaches
+        assert abs(rec.B_scalar - 1.0) <= 1e-12
+        assert abs(rec.tau2 - F.closed_form_tau2(system, rec.r_seed, 0.02)) <= resolution

@@ -1,5 +1,6 @@
 """System catalog: group laws, cocycles, reductions, exact spectra."""
 
+import ast
 import math
 import re
 from pathlib import Path
@@ -429,6 +430,18 @@ def test_leaf_rates_are_growth_rates_of_leaf_directions(kind, leaf, point):
     assert len(rates) == dirs.shape[1]
     for j, rate in enumerate(rates):
         assert abs(rate - math.log(np.linalg.norm(D @ dirs[:, j]))) <= 1e-12
+
+
+def test_factorize_makes_no_tangent_flow_call():
+    # every transport in the transfer pipeline steps through the cocycle walk
+    tree = ast.parse((Path(S.__file__).parent / "factorize.py").read_text())
+    hits = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", getattr(node.func, "id", None)) == "tangent_flow"
+    ]
+    assert hits == []
 
 
 def test_pipelines_do_not_branch_on_the_system_kind():
