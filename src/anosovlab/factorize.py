@@ -305,6 +305,8 @@ class TransferData:
     B_scalar: float
     r_seed: float
     profile: _GrowthProfile
+    #: contraction of the companion's stable vector from q, over [0, ell + 1]
+    stable_profile: _GrowthProfile
     ell: float
     beta: float
     u: float
@@ -425,8 +427,8 @@ def build_transfer(system: System, q1: Point, u: float, ell: float,
         q=q, q1=q1.copy(), q_half=q_half, q_half_prime=q_half_prime, x=x, z=z,
         w_params=np.asarray(w_params, dtype=float), cs_resid=cs_resid,
         e2_slot=e2_slot, e2_half=e2_half, B_scalar=float(B), r_seed=float(r1),
-        profile=profile, ell=float(ell), beta=float(beta), u=float(u),
-        companion=companion,
+        profile=profile, stable_profile=s_prof, ell=float(ell), beta=float(beta),
+        u=float(u), companion=companion,
     )
 
 
@@ -611,8 +613,9 @@ def bilipschitz_check(system: System, q1: Point, u: float, ell_grid, s_grid,
     ells = sorted(set(ell_grid) | {l + s for l in ell_grid for s in s_grid})
     taus = {}
     for l in ells:
-        taus[l] = stopping_time(system, q1, u, l, epsilon, companion,
-                                refinements=refinements).tau2
+        rec = stopping_time(system, q1, u, l, epsilon, companion,
+                            refinements=refinements)
+        taus[l] = rec.tau2
 
     # measured second-line rates along the fast-displacement orbit
     uq1 = sysmod.strong_unstable_translate(system, q1, [u])
@@ -622,10 +625,10 @@ def bilipschitz_check(system: System, q1: Point, u: float, ell_grid, s_grid,
     lam2_rates = [prof(w + 1.0) - prof(w) for w in windows]
     lam2_min, lam2_max = min(lam2_rates), max(lam2_rates)
 
-    # measured contraction rates of the companion data
-    q = sysmod.flow(system, q1, -max(ells))
-    s_vec = stable_frame_vector(system, q, np.asarray(companion.s_disp))
-    vf_prof = _GrowthProfile(system, q, s_vec, max(ells) + 1.0, project="stable")
+    # measured contraction rates of the companion data, read off the stable
+    # profile of the longest window's transfer (it starts at
+    # q = flow(q1, -max(ells)) and covers [0, max(ells) + 1])
+    vf_prof = rec.data.stable_profile
     vf_rates = [-(vf_prof(w + 1.0) - vf_prof(w)) for w in np.arange(0.0, max(ells), 1.0)]
     kvf_min, kvf_max = min(vf_rates), max(vf_rates)
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -88,23 +89,34 @@ class LeafChart:
 
     ``evaluate`` is the authoritative chart map; ``coeffs`` is its polynomial
     truncation at ``order`` with sup error ``remainder_bound`` inside
-    ``radius``.
+    ``radius``.  Both come from ``fit()``, run on the first read of either
+    and cached: the projection path reads only ``evaluate``, ``jacobian``,
+    ``param_dim`` and ``evaluator_error``, so it never fits a perturbed chart.
     """
 
     base: Point
     leaf_kind: str
     order: int
-    coeffs: PolyMap
+    param_dim: int
+    out_dim: int
     radius: float
-    remainder_bound: float
+    fit: object = field(repr=False)
     evaluator: object = field(repr=False, default=None)
     #: accuracy of `evaluate` itself: 0 for exact group evaluators, the
     #: polynomial remainder when the polynomial is all there is
     evaluator_error: float = 0.0
 
+    @cached_property
+    def _fitted(self):
+        return self.fit()
+
     @property
-    def param_dim(self):
-        return self.coeffs.param_dim
+    def coeffs(self) -> PolyMap:
+        return self._fitted[0]
+
+    @property
+    def remainder_bound(self) -> float:
+        return self._fitted[1]
 
     def evaluate(self, params):
         if self.evaluator is not None:
@@ -116,7 +128,7 @@ class LeafChart:
 
     def jacobian(self, params, h=1e-6):
         params = np.atleast_1d(np.asarray(params, dtype=float))
-        J = np.empty((self.coeffs.out_dim, self.param_dim))
+        J = np.empty((self.out_dim, self.param_dim))
         for j in range(self.param_dim):
             dp = params.copy()
             dm = params.copy()
@@ -131,14 +143,14 @@ class LeafChart:
 
 
 def _ser_mul(a, b, order):
-    """Product of two series with zero constant term (coeffs indexed from power 1)."""
+    """Product of two series with zero constant term (coeffs indexed from power 1).
+
+    Row i adds a[i] * b into the coefficients from power i + 2 on, so every
+    output coefficient sums its terms in ascending i, one by one."""
     out = np.zeros(order)
-    for i, ai in enumerate(a, start=1):
-        if ai == 0.0:
-            continue
-        for j, bj in enumerate(b, start=1):
-            if i + j <= order:
-                out[i + j - 1] += ai * bj
+    for i, ai in enumerate(a[: order - 1]):
+        if ai != 0.0:
+            out[i + 1:] += ai * b[: order - i - 1]
     return out
 
 
@@ -154,18 +166,32 @@ def _ser_compose(outer, inner, order):
 
 
 def _ser_invert(a, order):
-    """Series inverse of s' = a1 s + a2 s^2 + ... (a1 != 0)."""
+    """Series inverse of s' = a1 s + a2 s^2 + ... (a1 != 0).
+
+    Row k of `pw` holds b^(k+1).  b_(m+1) makes the s'^(m+1) coefficient of
+    a(b(s')) vanish; it reads column m of every power, which above the first
+    needs only b_1 .. b_m, so each entry is summed once, with the terms and
+    order of _ser_compose over _ser_mul."""
     if abs(a[0]) < 1e-14:
         raise NoConvergence("series not invertible")
-    b = np.zeros(order)
+    a = [float(v) for v in a]
+    pw = [[0.0] * order for _ in a]
+    b = pw[0]
     b[0] = 1.0 / a[0]
-    for n in range(2, order + 1):
-        acc = 0.0
-        # coefficient of s'^n in sum_k a_k * (b(s'))^k must vanish
-        comp = _ser_compose(a, b, order)
-        acc = comp[n - 1]
-        b[n - 1] -= acc / a[0]
-    return b
+    for m in range(1, order):
+        # b^(k+1) starts at power k+1, so column m of row k sums i = k-1 .. m-1
+        for k in range(1, min(m + 1, len(a))):
+            prev, acc = pw[k - 1], 0.0
+            for i in range(k - 1, m):
+                if prev[i] != 0.0:
+                    acc += prev[i] * b[m - 1 - i]
+            pw[k][m] = acc
+        comp = 0.0
+        for ak, row in zip(a, pw):
+            if ak != 0.0:
+                comp += ak * row[m]
+        b[m] -= comp / a[0]
+    return np.array(b)
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +337,8 @@ def _linear_chart(system, x, kind, order):
     else:
         poly = PolyMap.fit(evaluator, pdim, system.dim, max(order, 1), radius)
     rem = _validate_remainder(evaluator, poly, radius)
-    return LeafChart(x.copy(), kind, max(order, 1), poly, radius, rem, evaluator, 0.0)
+    return LeafChart(x.copy(), kind, max(order, 1), pdim, system.dim, radius,
+                     lambda: (poly, rem), evaluator, 0.0)
 
 
 def _validate_remainder(evaluator, poly, radius, n=7):
@@ -339,38 +366,35 @@ def _perturbed_chart(system, x, kind, order):
     pdim = sysmod.leaf_dimension(system, kind)
     radius = _default_radius(system)
     want_unstable = kind in ("Unstable", "StrongUnstable")
-    theta = x.coords[6] - math.floor(x.coords[6])
+    base = x.copy()
+    theta = base.coords[6] - math.floor(base.coords[6])
     idxs = model._kind_indices(kind)
 
-    curves = {}  # chart index of the graph coordinate -> (coeffs, trans chart index)
+    curves = {}  # graph chart index -> (np.polyval jet coefficients, trans chart index)
     jet_error = 0.0
     if kind != "StrongUnstable":
+        grid = np.linspace(-radius, radius, 17)
         for pair in model.sheared_pairs:
             hit = [i for i in idxs if i in pair]
             if not hit:
                 continue
             rates = model.rates[list(pair)]
-            vals = x.coords[list(pair)]
+            vals = base.coords[list(pair)]
             # the jet's coefficients do not depend on its length, so the
             # truncation of the longer jet is the order-`order` jet
             hi, g_ax, t_ax = _fiber_leaf_series(
                 model, vals, theta, rates, want_unstable, order + 2
             )
-            coeffs = hi[:order]
-            grid = np.linspace(-radius, radius, 17)
-            diff = max(
-                abs(
-                    np.polyval(np.append(hi[::-1], 0.0), s)
-                    - np.polyval(np.append(coeffs[::-1], 0.0), s)
-                )
-                for s in grid
-            )
+            curve = np.append(hi[:order][::-1], 0.0)
+            diff = np.max(np.abs(
+                np.polyval(np.append(hi[::-1], 0.0), grid) - np.polyval(curve, grid)
+            ))
             jet_error = max(jet_error, 2.0 * float(diff))
-            curves[pair[g_ax]] = (coeffs, pair[t_ax])
+            curves[pair[g_ax]] = (curve, pair[t_ax])
 
     def evaluator(params):
         params = np.atleast_1d(np.asarray(params, dtype=float))
-        out = x.coords.copy()
+        out = base.coords.copy()
         if kind == "CenterStable":
             dtheta = params[-1]
             p_main = params[:-1]
@@ -378,21 +402,22 @@ def _perturbed_chart(system, x, kind, order):
             dtheta = 0.0
             p_main = params
         for val, i in zip(p_main, idxs):
+            out[i] += val
             if i in curves:
-                coeffs, j = curves[i]
-                out[i] += val
-                out[j] += np.polyval(np.append(coeffs[::-1], 0.0), val)
-            else:
-                out[i] += val
+                curve, j = curves[i]
+                out[j] += np.polyval(curve, val)
         if dtheta != 0.0:
             out = model.flow(out, dtheta)
         return out
 
     evaluator = _orthonormalize_params(evaluator, pdim)
-    poly = PolyMap.fit(evaluator, pdim, system.dim, max(order, 1), radius)
-    rem = max(_validate_remainder(evaluator, poly, radius), jet_error)
+
+    def fit():
+        poly = PolyMap.fit(evaluator, pdim, system.dim, max(order, 1), radius)
+        return poly, max(_validate_remainder(evaluator, poly, radius), jet_error)
+
     return LeafChart(
-        x.copy(), kind, max(order, 1), poly, radius, rem, evaluator, jet_error
+        base, kind, max(order, 1), pdim, system.dim, radius, fit, evaluator, jet_error
     )
 
 
@@ -410,7 +435,8 @@ def leaf_chart(system: System, x: Point, kind: str, order: int = 3) -> LeafChart
             rem = float(np.linalg.norm(probe.coords - x.coords))
         except Exception:
             rem = radius * math.sqrt(pdim)
-        return LeafChart(x.copy(), kind, 0, poly, radius, rem, None, rem)
+        return LeafChart(x.copy(), kind, 0, pdim, system.dim, radius,
+                         lambda: (poly, rem), None, rem)
     if system.model.sheared_pairs:
         return _perturbed_chart(system, x, kind, order)
     return _linear_chart(system, x, kind, order)

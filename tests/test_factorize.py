@@ -431,3 +431,35 @@ def test_unperturbed_stopping_time_matches_closed_form():
         assert not rec.never_reaches
         assert abs(rec.B_scalar - 1.0) <= 1e-12
         assert abs(rec.tau2 - F.closed_form_tau2(system, rec.r_seed, 0.02)) <= resolution
+
+
+# ---------------------------------------------------------------------------
+# what the transfer pipeline computes, and what it leaves out
+
+
+def test_stopping_time_fits_no_chart_polynomial(monkeypatch):
+    from anosovlab import leafgeom as L
+
+    fits = []
+    original = L.PolyMap.fit
+
+    def counting(*args, **kwargs):
+        fits.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(L.PolyMap, "fit", staticmethod(counting))
+    rec = F.stopping_time(PERT, pt(PERT, 2), u=0.3, ell=6.0, epsilon=0.02)
+    assert 0.0 <= rec.tau2 <= rec.beta_bound
+    assert fits == []
+
+
+def test_transfer_stable_profile_is_a_prefix_of_a_longer_walk():
+    data = F.build_transfer(PERT, pt(PERT, 4), u=0.3, ell=6.0)
+    prof = data.stable_profile
+    assert prof.t_max >= data.ell + 1.0
+    s_vec = F.stable_frame_vector(PERT, data.q, data.companion.s_disp)
+    longer = F._GrowthProfile(PERT, data.q, s_vec, data.ell + 1.0, project="stable")
+    assert len(longer.logs) == len(prof.logs) + 1
+    assert longer.logs[: len(prof.logs)].tobytes() == prof.logs.tobytes()
+    for v, w in zip(prof.vecs, longer.vecs):
+        assert v.tobytes() == w.tobytes()

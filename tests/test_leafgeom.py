@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from anosovlab import leafgeom as L
 from anosovlab import systems as S
@@ -350,3 +352,90 @@ def test_qni_lower_bound_constant():
     for quad in est.quads:
         ratio = np.linalg.norm(quad.p_u) / quad.dist_xx**est.alpha_hat
         assert ratio >= 0.5 * est.C_hat
+
+
+# ---------------------------------------------------------------------------
+# graph-transform series arithmetic against scalar double loops, bit for bit
+
+
+def _scalar_ser_mul(a, b, order):
+    out = np.zeros(order)
+    for i, ai in enumerate(a, start=1):
+        if ai == 0.0:
+            continue
+        for j, bj in enumerate(b, start=1):
+            if i + j <= order:
+                out[i + j - 1] += ai * bj
+    return out
+
+
+def _scalar_ser_compose(outer, inner, order):
+    result = np.zeros(order)
+    current = None
+    for k, ck in enumerate(outer, start=1):
+        current = inner[:order].copy() if current is None else _scalar_ser_mul(current, inner, order)
+        if ck != 0.0:
+            result += ck * current
+    return result
+
+
+def _scalar_ser_invert(a, order):
+    b = np.zeros(order)
+    b[0] = 1.0 / a[0]
+    for n in range(2, order + 1):
+        comp = _scalar_ser_compose(a, b, order)
+        b[n - 1] -= comp[n - 1] / a[0]
+    return b
+
+
+_coef = st.one_of(st.just(0.0), st.floats(-10.0, 10.0))
+
+
+@given(data=st.data(), order=st.integers(2, 10), lead=st.floats(0.1, 10.0))
+def test_series_arithmetic_matches_the_scalar_loops_bit_for_bit(data, order, lead):
+    a = np.array(data.draw(st.lists(_coef, min_size=order, max_size=order)))
+    b = np.array(data.draw(st.lists(_coef, min_size=order, max_size=order)))
+    a[0] = lead
+    # both signs of the leading term; the zero draws cover skipped rows
+    for s in (a, -a):
+        assert L._ser_mul(s, b, order).tobytes() == _scalar_ser_mul(s, b, order).tobytes()
+        assert L._ser_mul(b, s, order).tobytes() == _scalar_ser_mul(b, s, order).tobytes()
+        assert (L._ser_compose(s, b, order).tobytes()
+                == _scalar_ser_compose(s, b, order).tobytes())
+        assert L._ser_invert(s, order).tobytes() == _scalar_ser_invert(s, order).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the chart polynomial is fitted on first read
+
+
+def _count_fits(monkeypatch):
+    calls = []
+    original = L.PolyMap.fit
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(L.PolyMap, "fit", staticmethod(counting))
+    return calls
+
+
+def test_perturbed_chart_fits_its_polynomial_on_first_read(monkeypatch):
+    system = make("BorelSmalePerturbed", eps_pert=0.01)
+    chart = L.leaf_chart(system, pt(system, 6), "Unstable", order=4)
+    fits = _count_fits(monkeypatch)
+    assert chart.param_dim == 3 and chart.out_dim == system.dim
+    chart.evaluate(np.full(chart.param_dim, 0.01))
+    chart.jacobian(np.zeros(chart.param_dim))
+    assert chart.evaluator_error > 0.0
+    assert not fits
+    coeffs = chart.coeffs
+    assert len(fits) == 1
+    rem = chart.remainder_bound
+    assert chart.coeffs is coeffs and len(fits) == 1
+    assert rem >= chart.evaluator_error
+    fresh = L.PolyMap.fit(chart.evaluator, chart.param_dim, chart.out_dim, 4, chart.radius)
+    assert coeffs.terms.keys() == fresh.terms.keys()
+    for exps, vec in coeffs.terms.items():
+        assert vec.tobytes() == fresh.terms[exps].tobytes()
