@@ -4,7 +4,9 @@ Exponents via the QR recursion along an orbit, splittings from the
 intersection of forward- and backward-propagated flags, truncated adapted
 (Pesin-type) norms, regular-set densities, and the scalar growth cocycle on
 the second expanding line used by the stopping-time machinery.  The cocycle
-restricted to invariant sub-bundles is one orbit walk carrying its splitting.
+restricted to invariant sub-bundles is one orbit walk carrying its splitting;
+it builds the splittings of a known run of its points in one batch, whose
+flags step together as rows, bit-identical to one point at a time.
 """
 
 from __future__ import annotations
@@ -119,24 +121,29 @@ def _subspace_intersection(A, B, k, tol=1e-6):
     return vt[n - k :].T
 
 
-def _propagated_flag(system, x, T, dt, forward):
-    """Orthonormal frame at x ordered by growth under the chosen direction.
+_FLAG_STEPS = 40  # unit flow steps over which a measured splitting's flags propagate
 
-    The cocycle is accumulated along the stored orbit ending exactly at x, so
-    the flag really lives at x."""
-    steps = max(1, int(round(T / dt)))
-    sgn = 1.0 if forward else -1.0
-    pts = [x]
-    for _ in range(steps):
-        pts.append(sysmod.flow(system, pts[-1], -sgn * dt))
-    # generic initial frame; axis-aligned frames can sit on invariant subspaces
-    gen = rngmod.derive(7, "propagated_flag")
-    Q, _ = np.linalg.qr(gen.standard_normal((system.dim, system.dim)))
-    for k in range(steps, 0, -1):
-        M = sysmod.tangent_flow(system, pts[k], sgn * dt)
-        Q, R = np.linalg.qr(M @ Q)
-        Q = Q * np.sign(np.diag(R))
-    return Q
+
+def _flags(system, X, sgn):
+    """Orthonormal frames at the rows of X ordered by growth under the flow in
+    the direction sgn (per row), accumulated along the stored orbit ending
+    exactly at the row; or, for a row, the NonFinite it alone raises."""
+    try:
+        pts = [X]
+        for _ in range(_FLAG_STEPS):
+            pts.append(sysmod.flow_rows(system, pts[-1], -sgn))
+        # generic initial frame; axis-aligned frames can sit on invariant subspaces
+        gen = rngmod.derive(7, "propagated_flag")
+        Q, _ = np.linalg.qr(gen.standard_normal((system.dim, system.dim)))
+        Q = np.repeat(Q[None], len(X), axis=0)
+        for k in range(_FLAG_STEPS, 0, -1):
+            Q, R = np.linalg.qr(sysmod.tangent_flow_rows(system, pts[k], sgn) @ Q)
+            Q = Q * np.sign(np.diagonal(R, axis1=1, axis2=2))[:, None, :]
+        return list(Q)
+    except NonFinite as exc:
+        if len(X) == 1:
+            return [exc]
+        return [f for r in range(len(X)) for f in _flags(system, X[r:r + 1], sgn[r:r + 1])]
 
 
 def _min_principal_angle(blocks):
@@ -149,32 +156,51 @@ def _min_principal_angle(blocks):
     return theta
 
 
-def oseledets_splitting(system: System, x: Point, T_forward: float = 40.0,
-                        T_backward: float = 40.0) -> Splitting:
-    """Splitting at x from intersecting the two propagated flags.
-
-    Linear models with constant frames short-circuit to their exact blocks.
-    """
-    model = system.model
-    if system.exact_exponents is not None:
-        subs = [(b.rate, b.basis.copy()) for b in model.blocks]
-    else:
-        U = _propagated_flag(system, x, T_backward, 1.0, forward=True)
-        S = _propagated_flag(system, x, T_forward, 1.0, forward=False)
+def _splittings(system: System, points) -> list:
+    """Splittings at a batch of points from one stack of propagated flags;
+    entry i is the Splitting at points[i], or the error that building it alone
+    raises (`_read` raises it).  Constant exact frames short-circuit."""
+    model, N = system.model, len(points)
+    flags = [None] * 2 * N
+    if system.exact_exponents is None and N:
+        # rows 0..N-1 grow under the forward flow, rows N..N+N-1 backward
+        X = np.array([x.coords for x in points])
+        flags = _flags(system, np.vstack([X, X]), np.repeat([1.0, -1.0], N))
         # group target exponents from the declared weights (measured systems
         # carry reference rates; ties merge into one block)
         rates = sorted({round(float(r), 12) for r in model.rates}, reverse=True)
         dims = [int(np.sum(np.isclose(model.rates, r))) for r in rates]
-        subs = []
-        c = 0
-        for r, k in zip(rates, dims):
-            E = _subspace_intersection(U[:, : c + k], S[:, : system.dim - c], k)
-            subs.append((float(r), E))
-            c += k
-    theta = _min_principal_angle([b for _, b in subs])
-    if theta < 1e-8:
-        raise IllConditioned("splitting angle below threshold")
-    return Splitting(point=x.copy(), subspaces=subs, theta=theta)
+    out = []
+    for x, U, S in zip(points, flags[:N], flags[N:]):
+        try:
+            if U is None:
+                subs = [(b.rate, b.basis.copy()) for b in model.blocks]
+            else:
+                U, S, subs, c = _read(U), _read(S), [], 0
+                for r, k in zip(rates, dims):
+                    E = _subspace_intersection(U[:, : c + k], S[:, : system.dim - c], k)
+                    subs.append((float(r), E))
+                    c += k
+            theta = _min_principal_angle([b for _, b in subs])
+            if theta < 1e-8:
+                raise IllConditioned("splitting angle below threshold")
+            out.append(Splitting(point=x.copy(), subspaces=subs, theta=theta))
+        except (IllConditioned, NonFinite) as exc:
+            out.append(exc)
+    return out
+
+
+def _read(entry) -> Splitting:
+    """A `_splittings` entry: the splitting, or raise the error in its place."""
+    if isinstance(entry, Exception):
+        raise entry
+    return entry
+
+
+def oseledets_splitting(system: System, x: Point) -> Splitting:
+    """Splitting at x from intersecting the forward- and backward-propagated
+    flags: the one-point batch of `_splittings`."""
+    return _read(_splittings(system, [x])[0])
 
 
 def decompose(splitting: Splitting, v: np.ndarray) -> list:
@@ -187,31 +213,48 @@ def decompose(splitting: Splitting, v: np.ndarray) -> list:
 
 class _Walk:
     """Orbit of x in flow steps of h carrying the derivative cocycle, and the
-    splitting at its current point, built on first use (so at most once per
-    visited point; exact constant blocks are built once per walk)."""
+    splitting at its current point, built on first use or ahead by `_fill`
+    (at most once per visited point; exact constant blocks once per walk)."""
 
-    def __init__(self, system: System, x: Point, h: float):
+    def __init__(self, system: System, x: Point, h: float, splitting=None):
         self.system, self.h, self.point = system, h, x
-        self._splitting = None
+        self._ahead = []  # points already flowed to, after the current one
+        self._built = [] if splitting is None else [splitting]  # from the point on
 
     @property
     def splitting(self) -> Splitting:
-        if self._splitting is None:
-            self._splitting = oseledets_splitting(self.system, self.point)
-        return self._splitting
+        if not self._built:
+            self._built = _splittings(self.system, [self.point])
+        return _read(self._built[0])
 
     def step(self) -> np.ndarray:
         """Move one step along the orbit; return the derivative over it."""
         D = sysmod.tangent_flow(self.system, self.point, self.h)
-        self.point = sysmod.flow(self.system, self.point, self.h)
+        self.point = (self._ahead or [sysmod.flow(self.system, self.point, self.h)]).pop(0)
         if self.system.exact_exponents is None:
-            self._splitting = None
+            del self._built[:1]
         return D
 
     def project(self, v: np.ndarray, blocks) -> np.ndarray:
         """Component of v in the listed blocks of the current splitting."""
         comps = decompose(self.splitting, v)
         return sum((comps[i] for i in blocks[1:]), comps[blocks[0]])
+
+
+def _fill(walks, n, also=()) -> list:
+    """Build in one batch the missing splittings at the current and next n - 1
+    points of walks (flowed to as `step` would) and at also; return also's."""
+    system, runs = walks[0].system, []
+    for w in walks if system.exact_exponents is None else ():
+        while len(w._ahead) < n - 1:
+            w._ahead.append(sysmod.flow(system, (w._ahead or [w.point])[-1], w.h))
+        runs.append(([w.point] + w._ahead)[len(w._built):n])
+    rows = [p for run in runs for p in run] + list(also)
+    built = _splittings(system, rows) if rows else []
+    for w, run in zip(walks, runs):
+        w._built += built[: len(run)]
+        del built[: len(run)]
+    return built
 
 
 def default_norm_params(system: System) -> LyapunovNormParams:
@@ -272,7 +315,8 @@ def _restricted_norm(system, splitting, comps, taus, weights, params):
         # returns per-block squared sums over tau = direction * (dtau .. T)
         sums = [0.0] * len(comps)
         vs = list(comps)
-        walk = _Walk(system, splitting.point, direction * dtau)
+        walk = _Walk(system, splitting.point, direction * dtau, splitting)
+        _fill([walk], n_steps + 1)
         for k in range(1, n_steps + 1):
             D = walk.step()
             tau = direction * k * dtau
@@ -302,16 +346,14 @@ def regular_set_density(system: System, x: Point, T: float, theta_min: float,
     if T <= 0:
         raise InvalidParams("T must be positive")
     times = np.arange(0.0, T, ds)
+    ys = [x.copy()]
+    for _ in times[1:]:
+        ys.append(sysmod.flow(system, ys[-1], ds))
     good = 0
-    y = x.copy()
-    for _ in times:
-        try:
-            theta = oseledets_splitting(system, y).theta
-        except IllConditioned:
-            theta = 0.0
+    for sp in _splittings(system, ys):
+        theta = 0.0 if isinstance(sp, IllConditioned) else _read(sp).theta
         if theta >= theta_min:
             good += 1
-        y = sysmod.flow(system, y, ds)
     return good / len(times)
 
 
@@ -335,10 +377,13 @@ def second_line(splitting: Splitting) -> np.ndarray:
 
 def cocycle_lambda2(system: System, x: Point, t: float) -> float:
     """log growth over [0, t] of the second-line frame under the cocycle."""
-    sp = oseledets_splitting(system, x)
-    e2 = second_line(sp)
-    D = sysmod.tangent_flow(system, x, float(t))
-    return float(np.log(np.linalg.norm(D @ e2)))
+    return _lambda2(system, oseledets_splitting(system, x), t)
+
+
+def _lambda2(system: System, splitting: Splitting, t: float) -> float:
+    """cocycle_lambda2 at the point of a splitting already built there."""
+    D = sysmod.tangent_flow(system, splitting.point, float(t))
+    return float(np.log(np.linalg.norm(D @ second_line(splitting))))
 
 
 def transport(system: System, x: Point, t: float, dt: float = 1.0):

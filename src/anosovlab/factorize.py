@@ -81,19 +81,22 @@ class _GrowthProfile:
     blocks at every step (the restricted cocycle on the stable sub-bundle);
     without it, round-off leakage into the fastest direction eventually
     swamps a contracting vector.  Exact-splitting models have no leakage.
-    ``direction=None`` starts from the second-line frame at x.
+    Splittings, with those of the points in ``also`` (as ``self.also``), are
+    built in one batch.  ``direction`` (norm ``norm0``) may be a function of
+    the splitting at x, such as ``comod.second_line``.
     """
 
-    def __init__(self, system, x, direction, t_max, dt=0.5, project=None):
+    def __init__(self, system, x, direction, t_max, dt=0.5, project=None, also=()):
         self.dt = dt
         steps = int(math.ceil(t_max / dt)) + 1
         walk = comod._Walk(system, x, dt)
-        if direction is None:
-            direction = comod.second_line(walk.splitting)
-        v = np.asarray(direction, dtype=float)
-        nv = np.linalg.norm(v)
-        v = v / nv if nv > 0 else v
         do_project = project == "stable" and system.exact_exponents is None
+        self.also = comod._fill([walk], steps + 1 if do_project else 0, also)
+        if callable(direction):
+            direction = direction(walk.splitting)
+        v = np.asarray(direction, dtype=float)
+        self.norm0 = nv = np.linalg.norm(v)
+        v = v / nv if nv > 0 else v
         logs = [0.0]
         vecs = [v.copy()]
         acc = 0.0
@@ -181,6 +184,8 @@ def _holonomy(system, walk_x, z, T_max, tol):
     if not _forward_convergence_ok(system, walk_x.point, z, T_max):
         raise NotStablyRelated("forward orbits fail to converge")
     walks = [walk_x, comod._Walk(system, z, 1.0)]
+    # the shortest run, to the k >= 2 stop, in one batch; later points build lazily
+    comod._fill(walks, min(4, int(T_max) + 1))
     start = [w.splitting for w in walks]
     idx = comod._second_block_index(start[0])
     vecs = [comod.second_line(sp) for sp in start]
@@ -258,11 +263,12 @@ def _operator_B(system, z, walk_x, T_max, q_frame_x=None, r_frame_x=None,
     clock = system.model.theta_index
     s_off = float(z.coords[clock] - x.coords[clock])
     if s_off != 0.0:
+        sp_x = walk_x.splitting
         walk_x = comod._Walk(system, sysmod.flow(system, x, s_off, reduce=False), 1.0)
     L, (sp_x1, sp_z) = _holonomy(system, walk_x, z, T_max, 1e-12)
     I_x1 = _identification(sp_x1, q_frame_x, r_frame_x)
     I_z = _identification(sp_z, q_frame_z, r_frame_z)
-    flow_factor = math.exp(-comod.cocycle_lambda2(system, x, s_off)) if s_off else 1.0
+    flow_factor = math.exp(-comod._lambda2(system, sp_x, s_off)) if s_off else 1.0
     # recorded with the source-frame covariance: doubling the frame on the
     # backward-flag line at z halves the scalar
     return flow_factor * I_x1 * I_z / L.value
@@ -319,13 +325,16 @@ def stable_frame_vector(system: System, q: Point, s_params) -> np.ndarray:
     Exact-splitting models use their leaf directions; measured systems take
     the unit vectors of the measured stable blocks (matched by rate), so the
     vector genuinely contracts under the cocycle."""
+    return _stable_frame(system, comod.oseledets_splitting(system, q), s_params)
+
+
+def _stable_frame(system, sp, s_params) -> np.ndarray:
+    """stable_frame_vector from the splitting at q."""
     s_params = np.asarray(s_params, dtype=float)
-    model = system.model
     if system.exact_exponents is not None:
-        return model.leaf_dirs("Stable") @ s_params
-    sp = comod.oseledets_splitting(system, q)
+        return system.model.leaf_dirs("Stable") @ s_params
     v = np.zeros(system.dim)
-    for val, rate in zip(s_params, model.leaf_rates("Stable")):
+    for val, rate in zip(s_params, system.model.leaf_rates("Stable")):
         v += val * sp.block(_block_at_rate(sp, rate))[:, 0]
     return v
 
@@ -357,12 +366,16 @@ def build_transfer(system: System, q1: Point, u: float, ell: float,
     q = sysmod.flow(system, q1, -ell)
     q_half = sysmod.flow(system, q, ell / 2.0)
 
+    u_half = float(u) * math.exp(-model.rate_top * ell / 2.0)
+    x = sysmod.strong_unstable_translate(system, q_half, [u_half])
+
     s_params = np.asarray(companion.s_disp, dtype=float)
-    s_vec = stable_frame_vector(system, q, s_params)
     # contracted stable data at the half-way and full levels (restricted
-    # cocycle on the stable sub-bundle)
-    s_norm = float(np.linalg.norm(s_vec))
-    s_prof = _GrowthProfile(system, q, s_vec, ell + 0.5, project="stable")
+    # cocycle on the stable sub-bundle); the splittings at q (for the stable
+    # frame), q_half and x join the profile's batch
+    s_prof = _GrowthProfile(system, q, lambda sp: _stable_frame(system, sp, s_params),
+                            ell + 0.5, project="stable", also=[q_half, x])
+    s_norm = float(s_prof.norm0)
     v_half = s_norm * math.exp(s_prof(ell / 2.0)) * s_prof.vector_at(ell / 2.0)
     r1 = companion.r_seed if companion.r_seed is not None else s_norm * math.exp(s_prof(ell))
 
@@ -370,7 +383,7 @@ def build_transfer(system: System, q1: Point, u: float, ell: float,
     if system.exact_exponents is None:
         # measured splitting: read the parameters off the measured stable
         # blocks, and place the companion on the curved stable leaf chart
-        sp_h = comod.oseledets_splitting(system, q_half)
+        sp_h = comod._read(s_prof.also[0])
         comps = comod.decompose(sp_h, v_half)
         blocks = [_block_at_rate(sp_h, rate) for rate in stable_rates]
         s_half_params = np.array([np.dot(comps[b], sp_h.block(b)[:, 0]) for b in blocks])
@@ -382,9 +395,6 @@ def build_transfer(system: System, q1: Point, u: float, ell: float,
             [s * math.exp(r * ell / 2.0) for s, r in zip(s_params, stable_rates)]
         )
         q_half_prime = sysmod.stable_translate(system, q_half, s_half_params)
-
-    u_half = float(u) * math.exp(-model.rate_top * ell / 2.0)
-    x = sysmod.strong_unstable_translate(system, q_half, [u_half])
 
     # stable projection of x onto the unstable leaf of the companion
     if hasattr(model, "cs_u_factorize"):
@@ -414,7 +424,7 @@ def build_transfer(system: System, q1: Point, u: float, ell: float,
     # growth profile of the second line along the orbit of x
     beta = apriori_beta(system)
     horizon = ell / 2.0 + beta * ell + 2.0
-    walk_x = comod._Walk(system, x, 1.0)
+    walk_x = comod._Walk(system, x, 1.0, s_prof.also[1])
     profile = _GrowthProfile(system, x, comod.second_line(walk_x.splitting), horizon)
 
     if measure_B is None:
@@ -527,8 +537,8 @@ def t2_solve(system: System, q1: Point, u: float, t: float,
     """Solve the second-line cocycle matching equation by monotone bisection."""
     uq1 = sysmod.strong_unstable_translate(system, q1, [u])
     horizon = max(4.0, 2.5 * t + 2.0)
-    target = _GrowthProfile(system, uq1, None, horizon)(t)
-    prof_q = _GrowthProfile(system, q1, None, horizon)
+    target = _GrowthProfile(system, uq1, comod.second_line, horizon)(t)
+    prof_q = _GrowthProfile(system, q1, comod.second_line, horizon)
     # monotonicity check over unit windows
     probes = np.arange(0.0, min(horizon, 2.0 * t + 1.0), 1.0)
     vals = [prof_q(p) for p in probes]
@@ -620,7 +630,7 @@ def bilipschitz_check(system: System, q1: Point, u: float, ell_grid, s_grid,
     # measured second-line rates along the fast-displacement orbit
     uq1 = sysmod.strong_unstable_translate(system, q1, [u])
     horizon = max(taus.values()) + 2.0
-    prof = _GrowthProfile(system, uq1, None, horizon)
+    prof = _GrowthProfile(system, uq1, comod.second_line, horizon)
     windows = np.arange(0.0, horizon - 1.0, 1.0)
     lam2_rates = [prof(w + 1.0) - prof(w) for w in windows]
     lam2_min, lam2_max = min(lam2_rates), max(lam2_rates)

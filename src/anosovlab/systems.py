@@ -126,14 +126,22 @@ def _axis(dim, i):
     return e
 
 
-def ring_reduce(pair: np.ndarray) -> tuple:
-    """Reduce a 2-vector modulo the Z[phi] ring lattice.
+def _ring_stacks(shape):
+    """RING_BASIS and its inverse as materialised stacks, for `matvec`."""
+    out = np.empty((2,) + shape + (2, 2))
+    out[0], out[1] = RING_BASIS, RING_BASIS_INV
+    return out
 
-    Returns (reduced pair, lattice pair removed)."""
-    n = RING_BASIS_INV @ pair
+
+def ring_reduce(pair: np.ndarray) -> tuple:
+    """Reduce a 2-vector, or each of (..., 2) pairs, modulo the Z[phi] ring
+    lattice.
+
+    Returns (reduced pairs, lattice pairs removed)."""
+    P, P_inv = _ring_stacks(np.shape(pair)[:-1])
+    n = matvec(P_inv, pair)
     n_int = np.floor(n)
-    red = RING_BASIS @ (n - n_int)
-    return red, RING_BASIS @ n_int
+    return matvec(P, n - n_int), matvec(P, n_int)
 
 
 # ---------------------------------------------------------------------------
@@ -214,9 +222,9 @@ class _CatSuspension:
         self.rate_second = None
         self.rate_slow_stable = self.log_mu
 
-    # power, flow, reduce and unstable_shift take a (3,) point or an (N, 3)
-    # batch, with a scalar time or one per row; every row is bit-identical to
-    # the call on that row alone.
+    # power, flow, dflow, reduce and unstable_shift take a (3,) point or an
+    # (N, 3) batch, with a scalar time or one per row; every row is
+    # bit-identical to the call on that row alone.
     def power(self, t):
         """A^t: (2, 2) for a scalar t, (N, 2, 2) for an (N,) array of times."""
         scale = self._evals ** np.asarray(t, dtype=float)[..., None]
@@ -230,8 +238,9 @@ class _CatSuspension:
         return out
 
     def dflow(self, c, t):
-        D = np.eye(3)
-        D[:2, :2] = self.power(t)
+        D = np.zeros(c.shape[:-1] + (3, 3))
+        D[..., :2, :2] = self.power(np.broadcast_to(t, c.shape[:-1]))
+        D[..., 2, 2] = 1.0
         return D
 
     def reduce(self, c):
@@ -505,7 +514,7 @@ class _ToralPerturbedSuspension(_AxisLeaves):
 
     kind = "BorelSmalePerturbed"
     quotiented = True
-    batched = False
+    batched = True
     chart_bound = 1e300
     exact_exponents = None
     sheared_pairs = ((_Z1, _Z2), (_Y1, _Y2))
@@ -534,100 +543,80 @@ class _ToralPerturbedSuspension(_AxisLeaves):
         self._unstable_idx = base._unstable_idx
         self._stable_idx = base._stable_idx
 
-    # fiber shear in ring-lattice coordinates of the z-pair -------------
-    def _shear(self, z_pair, sign):
-        n = RING_BASIS_INV @ z_pair
-        n = n.copy()
-        n[0] += sign * self.eps * math.sin(2.0 * math.pi * n[1])
-        return RING_BASIS @ n
+    # flow, dflow and reduce take a (7,) point or an (N, 7) batch, with a
+    # scalar time or one per row; a point is a one-row batch, and every row is
+    # bit-identical to the call on that row alone
+    def _shear(self, pairs, sign):
+        """The crossing shear of (..., 2) sheared-pair values (sign -1: its
+        inverse), ``n1 += sign * eps * sin(2 pi n2)`` in lattice coordinates."""
+        P, P_inv = _ring_stacks(pairs.shape[:-1])
+        n = matvec(P_inv, pairs)
+        n[..., 0] += sign * self.eps * np.sin(2.0 * math.pi * n[..., 1])
+        return matvec(P, n)
 
-    def _shear_jac(self, z_pair, sign):
-        n = RING_BASIS_INV @ z_pair
-        J = np.eye(2)
-        J[0, 1] = sign * self.eps * 2.0 * math.pi * math.cos(2.0 * math.pi * n[1])
-        return RING_BASIS @ J @ RING_BASIS_INV
-
-    def _crossings(self, theta0, t):
-        """Integer heights crossed by [theta0, theta0+t], ordered along the flow.
-
-        Upward motion crosses k when theta passes k from below; downward
-        motion crosses k when leaving [k, k+1) through k, so forward and
-        backward flows invert each other exactly."""
-        if t > 0:
-            lo, hi = math.floor(theta0) + 1, math.floor(theta0 + t)
-            return list(range(lo, hi + 1)), +1
-        if t < 0:
-            hi, lo = math.floor(theta0), math.floor(theta0 + t) + 1
-            return list(range(hi, lo - 1, -1)), -1
-        return [], +1
-
-    def _flow_with_jacobian(self, c, t, want_jac):
+    def _flow(self, c, t, want_jac):
+        """The flow, or its Jacobian.  Upward motion crosses an integer k when
+        theta passes k from below, downward motion when leaving [k, k+1)
+        through k, so backward flows undo forward ones (up to clock round-off)."""
+        shape, c = np.shape(c), np.reshape(c, (-1, 7))
         rates = self.rates[:6]
-        v = c[:6].copy()
-        theta0 = c[_TH]
-        ks, sign = self._crossings(theta0, t)
-        J = None
-        if want_jac:
-            J = np.zeros((6, 7))
-            J[:, :6] = np.eye(6)
+        theta0 = c[:, _TH]
+        t = np.full(theta0.shape, t, dtype=float)
+        sign = np.where(t < 0, -1.0, 1.0)
+        f0, f1 = np.floor(theta0), np.floor(theta0 + t)
+        crossings = np.abs(f1 - f0)
+        v = c[:, :6].copy()
+        J = np.repeat(np.eye(7)[None], len(c) if want_jac else 0, axis=0)
 
-        def scale(duration, dtheta0_coeff):
-            nonlocal v, J
-            E = np.exp(rates * duration)
-            v = E * v
+        def scale(rows, duration, dtheta0_coeff):
+            if not rows.any():
+                return
+            rows = slice(None) if rows.all() else rows  # a view where it can
+            E = np.exp(rates * duration[rows, None])
+            v[rows] = E * v[rows]
             if want_jac:
-                J = E[:, None] * J
-                if dtheta0_coeff != 0.0:
-                    J[:, 6] += dtheta0_coeff * rates * v
+                J[rows, :6] = E[:, :, None] * J[rows, :6]
+                if dtheta0_coeff:
+                    J[rows, :6, 6] += dtheta0_coeff * rates * v[rows]
 
-        def shear_step():
-            nonlocal v, J
-            for (i, j) in self.sheared_pairs:
-                pre = v[[i, j]].copy()
-                v[[i, j]] = self._shear(pre, sign)
+        def shear(rows):
+            r = np.flatnonzero(rows)
+            P, P_inv = _ring_stacks(r.shape)
+            for pair in self.sheared_pairs:
+                at = (slice(None) if len(r) == len(v) else r[:, None], pair)
                 if want_jac:
-                    Jz = self._shear_jac(pre, sign)
-                    J[[i, j], :] = Jz @ J[[i, j], :]
+                    phase = 2.0 * math.pi * matvec(P_inv, v[at])[:, 1]
+                    Jz = np.repeat(np.eye(2)[None], len(r), axis=0)
+                    Jz[:, 0, 1] = sign[r] * self.eps * 2.0 * math.pi * np.cos(phase)
+                    J[at] = P @ Jz @ P_inv @ J[at]
+                v[at] = self._shear(v[at], sign[r])
 
-        if not ks:
-            scale(t, 0.0)
-        else:
-            scale(ks[0] - theta0, -1.0)
-            shear_step()
-            for k in ks[1:]:
-                scale(float(sign), 0.0)
-                shear_step()
-            scale(theta0 + t - ks[-1], +1.0)
-        out = np.empty(7)
-        out[:6] = v
-        out[_TH] = theta0 + t
+        scale(crossings == 0, t, 0.0)
+        scale(crossings > 0, np.where(t > 0, f0 + 1.0, f0) - theta0, -1.0)
+        for k in range(int(crossings.max(initial=0))):
+            if k:
+                scale(crossings > k, sign, 0.0)
+            shear(crossings > k)
+        scale(crossings > 0, theta0 + t - np.where(t > 0, f1, f1 + 1.0), 1.0)
+        out = np.column_stack([v, theta0 + t])
         if not np.all(np.isfinite(out)):
             raise NonFinite("flow overflow")
-        if want_jac:
-            D = np.zeros((7, 7))
-            D[:6, :] = J
-            D[_TH, _TH] = 1.0
-            return out, D
-        return out, None
+        return J.reshape(shape + (7,)) if want_jac else out.reshape(shape)
 
     def flow(self, c, t):
-        out, _ = self._flow_with_jacobian(c, float(t), False)
-        return out
+        return self._flow(c, t, False)
 
     def dflow(self, c, t):
-        _, D = self._flow_with_jacobian(c, float(t), True)
-        return D
+        return self._flow(c, t, True)
 
     def reduce(self, c):
-        theta = _frac(c[_TH])
-        w = c[:6] * np.exp(self.rates[:6] * -theta)
-        out_pairs = np.empty(6)
-        for (i, j) in ((_X1, _X2), (_Y1, _Y2), (_Z1, _Z2)):
-            red, _ = ring_reduce(w[[i, j]])
-            out_pairs[[i, j]] = red
-        out = np.empty(7)
-        out[:6] = out_pairs * np.exp(self.rates[:6] * theta)
-        out[_TH] = theta
+        theta = _frac(c[..., _TH])[..., None]
+        w = c[..., :6] * np.exp(self.rates[:6] * -theta)
+        out = np.empty(c.shape)
+        for pair in ((_X1, _X2), (_Y1, _Y2), (_Z1, _Z2)):
+            out[..., pair], _ = ring_reduce(w[..., pair])
+        out[..., :6] = out[..., :6] * np.exp(self.rates[:6] * theta)
+        out[..., _TH] = theta[..., 0]
         return out
 
     # leaves: linear in the x/y pairs, curved in the z pair --------------
@@ -648,7 +637,10 @@ class _ToralPerturbedSuspension(_AxisLeaves):
         out[idxs] += params
         return out
 
-    unstable_shift = _NilPairSuspension.unstable_shift
+    def unstable_shift(self, c, u):
+        out = c.copy()
+        out[..., self._kind_indices("StrongUnstable")] += np.asarray(u, dtype=float)[..., None]
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -983,6 +975,9 @@ class _RowLoop:
     def flow(self, c, t):
         return self._rows(self._model.flow, c, t)
 
+    def dflow(self, c, t):
+        return self._rows(self._model.dflow, c, t, c.shape[-1:])
+
     def reduce(self, c):
         return np.array([self._model.reduce(row) for row in c]).reshape(c.shape)
 
@@ -990,9 +985,9 @@ class _RowLoop:
         return self._rows(self._model.unstable_shift, c, u)
 
     @staticmethod
-    def _rows(op, c, s):
+    def _rows(op, c, s, extra=()):
         s = np.broadcast_to(np.asarray(s, dtype=float), c.shape[:-1])
-        return np.array([op(row, float(si)) for row, si in zip(c, s)]).reshape(c.shape)
+        return np.array([op(row, float(si)) for row, si in zip(c, s)]).reshape(c.shape + extra)
 
 
 def batch_model(system: System):
@@ -1027,6 +1022,13 @@ def tangent_flow(system: System, x: Point, t: float) -> np.ndarray:
     D = system.model.dflow(x.coords, float(t))
     _check_finite(D, "tangent flow")
     return D
+
+
+def tangent_flow_rows(system: System, c: np.ndarray, t) -> np.ndarray:
+    """`tangent_flow` at every row of an (N, dim) batch, t scalar or per row."""
+    _check_finite(c)
+    _check_finite(t, "time")
+    return _check_finite(batch_model(system).dflow(c, t), "tangent flow")
 
 
 def lattice_reduce(system: System, x: Point) -> Point:

@@ -4,10 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from anosovlab import cocycle as C
+from anosovlab import rng as rngmod
 from anosovlab import systems as S
-from anosovlab.errors import IllConditioned, InvalidParams
+from anosovlab.errors import IllConditioned, InvalidParams, NonFinite
 
 
 def make(kind, **params):
@@ -267,3 +270,124 @@ def test_second_line_requires_two_expanding_directions():
     sp = C.oseledets_splitting(system, pt(system, 21))
     with pytest.raises(IllConditioned):
         C.second_line(sp)
+
+
+# ---------------------------------------------------------------------------
+# splittings built in batches
+
+
+def reference_splitting(system, x):
+    """The measured splitting at x built one point and one flag at a time,
+    with scalar flow and tangent-flow steps: the reference for the batches."""
+
+    def flag(sgn, steps=40):
+        pts = [x]
+        for _ in range(steps):
+            pts.append(S.flow(system, pts[-1], -sgn))
+        gen = rngmod.derive(7, "propagated_flag")
+        Q, _ = np.linalg.qr(gen.standard_normal((system.dim, system.dim)))
+        for k in range(steps, 0, -1):
+            Q, R = np.linalg.qr(S.tangent_flow(system, pts[k], sgn) @ Q)
+            Q = Q * np.sign(np.diag(R))
+        return Q
+
+    U, Sf = flag(1.0), flag(-1.0)
+    rates = sorted({round(float(r), 12) for r in system.model.rates}, reverse=True)
+    subs, c = [], 0
+    for r in rates:
+        k = int(np.sum(np.isclose(system.model.rates, r)))
+        subs.append((float(r), C._subspace_intersection(U[:, : c + k], Sf[:, : system.dim - c], k)))
+        c += k
+    theta = C._min_principal_angle([b for _, b in subs])
+    if theta < 1e-8:
+        raise IllConditioned("splitting angle below threshold")
+    return C.Splitting(point=x.copy(), subspaces=subs, theta=theta)
+
+
+def assert_same_splitting(a, b):
+    assert a.point.coords.tobytes() == b.point.coords.tobytes()
+    assert a.theta == b.theta
+    assert [e for e, _ in a.subspaces] == [e for e, _ in b.subspaces]
+    assert all(A.tobytes() == B.tobytes() for (_, A), (_, B) in zip(a.subspaces, b.subspaces))
+
+
+_HEIGHTS = st.one_of(
+    st.integers(-2, 2).map(float),
+    st.integers(-2, 2).map(lambda k: math.nextafter(float(k), -math.inf)),
+    st.floats(-2.0, 2.0),
+)
+
+
+@given(eps=st.sampled_from((0.0, 0.01)), seed=st.integers(0, 2**31 - 1), height=_HEIGHTS,
+       h=st.sampled_from((0.5, 1.0, -1.0)), n=st.integers(1, 3))
+@example(eps=0.01, seed=0, height=math.nextafter(1.0, -math.inf), h=1.0, n=2)
+def test_batched_splittings_match_the_per_point_reference_bit_for_bit(eps, seed, height, h, n):
+    system = make("BorelSmalePerturbed", eps_pert=eps)
+    c = pt(system, seed).coords.copy()
+    c[6] = height  # an unreduced start at the drawn height
+    walk = [S.Point(c)]
+    for _ in range(n - 1):
+        walk.append(S.flow(system, walk[-1], h))
+    for got, x in zip(C._splittings(system, walk), walk):
+        assert_same_splitting(C._read(got), reference_splitting(system, x))
+    assert_same_splitting(C.oseledets_splitting(system, walk[-1]), reference_splitting(system, walk[-1]))
+
+
+def test_filled_walk_visits_the_points_and_splittings_of_a_stepped_walk():
+    system = make("BorelSmalePerturbed", eps_pert=0.01)
+    x = pt(system, 4)
+    ahead, plain = C._Walk(system, x, 0.5), C._Walk(system, x, 0.5)
+    C._fill([ahead], 5)
+    for _ in range(6):  # one step past the filled run
+        assert ahead.point.coords.tobytes() == plain.point.coords.tobytes()
+        assert_same_splitting(ahead.splitting, plain.splitting)
+        assert ahead.step().tobytes() == plain.step().tobytes()
+
+
+def test_a_failing_row_raises_only_when_read(monkeypatch):
+    system = make("BorelSmalePerturbed", eps_pert=0.01)
+    x = pt(system, 5)
+    pts = [x, S.flow(system, x, 1.0), S.flow(system, x, 2.0)]
+    clean = [C.oseledets_splitting(system, p) for p in pts]
+    per_point = len(system.model.blocks)  # intersections per splitting
+    original = C._subspace_intersection
+
+    def failing_row(row):
+        # the first intersection of the given row sees a negative tolerance
+        calls = []
+
+        def intersection(A, B, k, tol=1e-6):
+            calls.append(None)
+            return original(A, B, k, tol=-1.0 if len(calls) == row * per_point + 1 else tol)
+
+        monkeypatch.setattr(C, "_subspace_intersection", intersection)
+
+    failing_row(1)
+    built = C._splittings(system, pts)  # no error yet
+    assert_same_splitting(C._read(built[0]), clean[0])
+    assert_same_splitting(C._read(built[2]), clean[2])
+    with pytest.raises(IllConditioned) as batched:
+        C._read(built[1])
+    failing_row(0)
+    with pytest.raises(IllConditioned) as alone:
+        C.oseledets_splitting(system, pts[1])
+    assert str(batched.value) == str(alone.value)
+    # a walk that stops before its failing point never raises
+    failing_row(2)
+    walk = C._Walk(system, x, 1.0)
+    C._fill([walk], 3)
+    walk.step()
+    assert_same_splitting(walk.splitting, clean[1])
+
+
+def test_a_non_finite_row_raises_only_when_read():
+    system = make("BorelSmalePerturbed", eps_pert=0.01)
+    x = pt(system, 6)
+    huge = S.Point(np.full(7, 1e308))  # its first flow step overflows
+    built = C._splittings(system, [x, huge])
+    assert_same_splitting(C._read(built[0]), C.oseledets_splitting(system, x))
+    with pytest.raises(NonFinite) as batched:
+        C._read(built[1])
+    with pytest.raises(NonFinite) as alone:
+        C.oseledets_splitting(system, huge)
+    assert str(batched.value) == str(alone.value)

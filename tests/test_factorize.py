@@ -70,15 +70,16 @@ def test_holonomy_increments_decay_on_perturbed():
 
 
 def _count_splittings(monkeypatch):
-    """Record the point bytes of every oseledets_splitting call."""
+    """Record the point bytes of every splitting built: each row of each
+    batch, of which a one-point oseledets_splitting call is the one-row case."""
     calls = []
-    original = C.oseledets_splitting
+    original = C._splittings
 
-    def counting(system, x, *args, **kwargs):
-        calls.append(x.coords.tobytes())
-        return original(system, x, *args, **kwargs)
+    def counting(system, points, *args, **kwargs):
+        calls.extend(x.coords.tobytes() for x in points)
+        return original(system, points, *args, **kwargs)
 
-    monkeypatch.setattr(C, "oseledets_splitting", counting)
+    monkeypatch.setattr(C, "_splittings", counting)
     return calls
 
 
@@ -108,6 +109,28 @@ def test_operator_b_builds_no_splitting_twice(monkeypatch):
     F.operator_B(PERT, z, x, T_max=6)
     assert calls
     assert len(set(calls)) == len(calls)
+
+
+def test_operator_b_clock_offset_reuses_the_splitting_at_x(monkeypatch):
+    # with a clock offset the holonomy walks start at g_s x; the offset's
+    # second-line growth reads the splitting at x that the caller's walk holds
+    x, z0 = _stable_companion(3)
+    z = S.flow(PERT, z0, 0.25, reduce=False)
+    clock = PERT.model.theta_index
+    assert z.coords[clock] != x.coords[clock]
+    held = _count_splittings(monkeypatch)
+    value = F.operator_B(PERT, z, x, T_max=6)
+    fresh = list(held)
+    walk = C._Walk(PERT, x, 1.0)
+    walk.splitting  # held, as build_transfer's walk at x holds it
+    held.clear()
+    assert F._operator_B(PERT, z, walk, 6) == value
+    assert len(held) == len(fresh) - 1
+    assert x.coords.tobytes() in fresh and x.coords.tobytes() not in held
+    # the same value as the second-line cocycle built afresh at x
+    s_off = float(z.coords[clock] - x.coords[clock])
+    lam2 = C.cocycle_lambda2(PERT, x, s_off)
+    assert lam2 == C._lambda2(PERT, C.oseledets_splitting(PERT, x), s_off)
 
 
 def test_holonomy_truncation_consistency():
