@@ -21,6 +21,7 @@ from scipy.spatial import cKDTree
 
 from . import systems as sysmod
 from .errors import (
+    AnosovLabError,
     DegenerateFit,
     EmptyIntersection,
     InvalidParams,
@@ -52,9 +53,6 @@ class PolyMap:
                     mono *= p**e
             out += mono * vec
         return out
-
-    def degree(self):
-        return max((sum(e) for e in self.terms), default=0)
 
     @staticmethod
     def fit(evaluator, param_dim, out_dim, order, radius, n_grid=5):
@@ -433,7 +431,7 @@ def leaf_chart(system: System, x: Point, kind: str, order: int = 3) -> LeafChart
         try:
             probe = sysmod.leaf_translate(system, x, kind, radius * np.ones(pdim) / math.sqrt(pdim))
             rem = float(np.linalg.norm(probe.coords - x.coords))
-        except Exception:
+        except AnosovLabError:
             rem = radius * math.sqrt(pdim)
         return LeafChart(x.copy(), kind, 0, pdim, system.dim, radius,
                          lambda: (poly, rem), None, rem)

@@ -199,7 +199,7 @@ class TestFunction:
 def _section_coords(system, c):
     """Fiber coordinates pulled back to the roof-zero section, plus theta,
     for every row of an (N, dim) batch."""
-    c = sysmod.batch_model(system).reduce(c)
+    c = system.model.reduce(c)
     return system.model.section_coords(c), c[:, system.model.theta_index]
 
 

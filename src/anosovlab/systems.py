@@ -30,6 +30,14 @@ so the derivative cocycle is the diagonal weight action there as well.
 Leaves are orbits of the corresponding (uni potent) subgroups acting on the
 left; leaf parameters are matrix entries of the unipotent factor (for matrix
 groups) or polarised group coordinates (for the Heisenberg pair).
+
+Rows
+----
+Every model's ``flow`` and ``dflow``, and the quotiented models' ``reduce``
+and ``unstable_shift``, take a point or an (N, dim) batch, with one time (or
+shift) for all rows or one per row; every row is bit-identical to the call on
+that row alone.  ``flow_rows``, ``tangent_flow_rows``, ``reduce_rows`` and
+``unstable_shift_rows`` are their checked forms.
 """
 
 from __future__ import annotations
@@ -114,7 +122,7 @@ def _frac(x):
 def matvec(P, v):
     """P @ v for a (2, 2) P or a materialised (N, 2, 2) stack of them.
 
-    np.matmul calls BLAS gemv per row, as the unbatched P @ v does, so each row
+    np.matmul calls BLAS gemv per row, as the plain P @ v does, so each row
     is bit-identical to it; (N, 2) @ P.T and einsum are not, and the cat map
     grows a last-bit difference to order one within about 40 time units."""
     return np.matmul(P, v[..., None])[..., 0]
@@ -182,7 +190,6 @@ def heisenberg_reduce(coords) -> np.ndarray:
 class _CatSuspension:
     kind = "CatSuspension"
     quotiented = True
-    batched = True
     chart_bound = 1e12
     qni_order = None
     sheared_pairs = ()
@@ -222,9 +229,6 @@ class _CatSuspension:
         self.rate_second = None
         self.rate_slow_stable = self.log_mu
 
-    # power, flow, dflow, reduce and unstable_shift take a (3,) point or an
-    # (N, 3) batch, with a scalar time or one per row; every row is
-    # bit-identical to the call on that row alone.
     def power(self, t):
         """A^t: (2, 2) for a scalar t, (N, 2, 2) for an (N,) array of times."""
         scale = self._evals ** np.asarray(t, dtype=float)[..., None]
@@ -298,29 +302,40 @@ class _CatSuspension:
 
 # chart coordinate order: x1 x2 y1 y2 z1 z2 theta
 _X1, _X2, _Y1, _Y2, _Z1, _Z2, _TH = range(7)
-_COPY1 = [_X1, _Y1, _Z1]
-_COPY2 = [_X2, _Y2, _Z2]
+_X, _Y, _Z = [_X1, _X2], [_Y1, _Y2], [_Z1, _Z2]
 
 
 def _pair_mult(l, r):
-    """Product in N x N, polarised coordinates, on 6-vectors."""
-    out = np.empty(6)
-    for copy in (_COPY1, _COPY2):
-        out[copy] = heisenberg_mult(l[copy], r[copy])
+    """Product in N x N, polarised coordinates (`heisenberg_mult` on each
+    copy), on 6-vectors or (..., 6) rows."""
+    out = l + r
+    out[..., _Z] += l[..., _X] * r[..., _Y]
     return out
 
 
 def _pair_inverse(g):
-    out = np.empty(6)
-    for copy in (_COPY1, _COPY2):
-        out[copy] = heisenberg_inverse(g[copy])
+    out = -g
+    out[..., _Z] += g[..., _X] * g[..., _Y]
     return out
 
 
 class _AxisLeaves:
-    """Leaves whose parameters each move one chart axis (`_leaf_axes`)."""
+    """Leaves whose parameters each move one chart axis (`_leaf_axes`), and
+    the diagonal weight flow with its clock at `theta_index`."""
 
     sheared_pairs = ()
+
+    def flow(self, c, t):
+        out = c * np.exp(np.multiply.outer(t, self.rates))
+        out[..., self.theta_index] = c[..., self.theta_index] + t
+        return out
+
+    def dflow(self, c, t):
+        D = np.zeros(c.shape + c.shape[-1:])
+        axes = np.arange(self.dim)
+        D[..., axes, axes] = np.exp(np.multiply.outer(t, self.rates))
+        D[..., self.theta_index, self.theta_index] = 1.0
+        return D
 
     def leaf_dirs(self, kind):
         return np.column_stack([_axis(self.dim, i) for i in self._leaf_axes(kind)])
@@ -333,7 +348,6 @@ class _AxisLeaves:
 class _NilPairSuspension(_AxisLeaves):
     kind = "BorelSmale"
     quotiented = True
-    batched = False
     chart_bound = 1e300
     equidistribution_freqs = (
         (1, 0, 0, 0, 0, 0),
@@ -383,44 +397,19 @@ class _NilPairSuspension(_AxisLeaves):
         self._unstable_idx = [i for i in range(6) if w[i] > 0]
         self._stable_idx = [i for i in range(6) if w[i] < 0]
 
-    # flow -------------------------------------------------------------
-    def flow(self, c, t):
-        out = c.copy()
-        out[:6] = c[:6] * np.exp(self.rates[:6] * t)
-        out[_TH] += t
-        return out
-
-    def dflow(self, c, t):
-        d = np.exp(self.rates * t)
-        d[_TH] = 1.0
-        return np.diag(d)
-
     # quotient ----------------------------------------------------------
-    def _alpha(self, v6, t):
-        return v6 * np.exp(self.rates[:6] * t)
-
-    def _gamma0_reduce(self, v6):
-        v = v6.copy()
-        x_red, _ = ring_reduce(v[[_X1, _X2]])
-        v[[_X1, _X2]] = x_red
-        y_pair = v[[_Y1, _Y2]]
-        n = RING_BASIS_INV @ y_pair
-        n_int = np.floor(n)
-        eta = -RING_BASIS @ n_int  # lattice pair added to y
-        v[[_Y1, _Y2]] = RING_BASIS @ (n - n_int)
-        v[_Z1] += v[_X1] * eta[0]
-        v[_Z2] += v[_X2] * eta[1]
-        z_red, _ = ring_reduce(v[[_Z1, _Z2]])
-        v[[_Z1, _Z2]] = z_red
-        return v
-
     def reduce(self, c):
-        theta = _frac(c[_TH])
-        w = self._alpha(c[:6], -theta)
-        w = self._gamma0_reduce(w)
-        out = np.empty(7)
-        out[:6] = self._alpha(w, theta)
-        out[_TH] = theta
+        theta = _frac(c[..., _TH])[..., None]
+        w = c[..., :6] * np.exp(self.rates[:6] * -theta)
+        # right-multiply by ring-lattice elements at section level: the x and
+        # y pairs in one call, y's lattice pair shifting z through the group
+        # law, then the centre
+        xy, lat = ring_reduce(w[..., :4].reshape(c.shape[:-1] + (2, 2)))
+        out = np.empty(c.shape)
+        out[..., :4] = xy.reshape(c.shape[:-1] + (4,))
+        out[..., _Z], _ = ring_reduce(w[..., _Z] - xy[..., 0, :] * lat[..., 1, :])
+        out[..., :6] *= np.exp(self.rates[:6] * theta)
+        out[..., _TH] = theta[..., 0]
         return out
 
     def section_coords(self, c):
@@ -429,7 +418,7 @@ class _NilPairSuspension(_AxisLeaves):
         w = c[:, :6] * np.exp(self.rates[:6] * -c[:, _TH, None])
         basis_inv = np.repeat(RING_BASIS_INV[None], len(c), axis=0)
         n = np.empty((len(c), 6))
-        for k, pair in enumerate(((_X1, _X2), (_Y1, _Y2), (_Z1, _Z2))):
+        for k, pair in enumerate((_X, _Y, _Z)):
             n[:, 2 * k : 2 * k + 2] = matvec(basis_inv, w[:, pair])
         return n
 
@@ -453,24 +442,21 @@ class _NilPairSuspension(_AxisLeaves):
 
     def group_displacement(self, a, b):
         """The group element b . a^-1 carrying chart point a to b (fibers only)."""
-        return _pair_mult(b[:6], _pair_inverse(a[:6]))
+        return _pair_mult(b[..., :6], _pair_inverse(a[..., :6]))
 
     def stable_params_between(self, a, b):
         return self.group_displacement(a, b)[self._stable_idx]
 
     def leaf_translate(self, c, kind, params):
-        """Left-translate by the subgroup element with the given coordinates."""
+        """Left-translate by the subgroup element with the given coordinates
+        (on a point, or on rows with params shared or per row)."""
         params = np.atleast_1d(np.asarray(params, dtype=float))
-        idxs = self._kind_indices(kind)
         if kind == "CenterStable":
-            base = self.flow(c, params[-1])
-            params = params[:-1]
-        else:
-            base = c.copy()
-        l = np.zeros(6)
-        l[idxs] = params
-        out = base.copy()
-        out[:6] = _pair_mult(l, base[:6])
+            c, params = self.flow(c, params[..., -1]), params[..., :-1]
+        l = np.zeros(params.shape[:-1] + (6,))
+        l[..., self._kind_indices(kind)] = params
+        out = c.copy()
+        out[..., :6] = _pair_mult(l, c[..., :6])
         return out
 
     def cs_u_factorize(self, x, xp):
@@ -497,7 +483,7 @@ class _NilPairSuspension(_AxisLeaves):
         return u, cs
 
     def unstable_shift(self, c, u):
-        return self.leaf_translate(c, "StrongUnstable", [u])
+        return self.leaf_translate(c, "StrongUnstable", np.asarray(u, dtype=float)[..., None])
 
 
 class _ToralPerturbedSuspension(_AxisLeaves):
@@ -514,7 +500,6 @@ class _ToralPerturbedSuspension(_AxisLeaves):
 
     kind = "BorelSmalePerturbed"
     quotiented = True
-    batched = True
     chart_bound = 1e300
     exact_exponents = None
     sheared_pairs = ((_Z1, _Z2), (_Y1, _Y2))
@@ -543,9 +528,7 @@ class _ToralPerturbedSuspension(_AxisLeaves):
         self._unstable_idx = base._unstable_idx
         self._stable_idx = base._stable_idx
 
-    # flow, dflow and reduce take a (7,) point or an (N, 7) batch, with a
-    # scalar time or one per row; a point is a one-row batch, and every row is
-    # bit-identical to the call on that row alone
+    # a point is a one-row batch of the rows flow
     def _shear(self, pairs, sign):
         """The crossing shear of (..., 2) sheared-pair values (sign -1: its
         inverse), ``n1 += sign * eps * sin(2 pi n2)`` in lattice coordinates."""
@@ -613,7 +596,7 @@ class _ToralPerturbedSuspension(_AxisLeaves):
         theta = _frac(c[..., _TH])[..., None]
         w = c[..., :6] * np.exp(self.rates[:6] * -theta)
         out = np.empty(c.shape)
-        for pair in ((_X1, _X2), (_Y1, _Y2), (_Z1, _Z2)):
+        for pair in (_X, _Y, _Z):
             out[..., pair], _ = ring_reduce(w[..., pair])
         out[..., :6] = out[..., :6] * np.exp(self.rates[:6] * theta)
         out[..., _TH] = theta[..., 0]
@@ -688,22 +671,15 @@ class _MatrixGroupModel(_AxisLeaves):
     """
 
     quotiented = False
-    batched = False
 
     # subclasses define: n (matrix size), basis (list of matrices), rates,
     # H_flow, theta_index (clock slot), perm (weight-sorting permutation)
 
     def flow(self, c, t):
-        out = c * np.exp(self.rates * t)
-        out[self.theta_index] = c[self.theta_index] + t
-        if np.max(np.abs(out)) > self.chart_bound:
+        out = super().flow(c, t)
+        if (np.abs(out).max(axis=-1) > self.chart_bound).any():  # per row
             raise NonFinite("orbit left the configured chart")
         return out
-
-    def dflow(self, c, t):
-        d = np.exp(self.rates * t)
-        d[self.theta_index] = 1.0
-        return np.diag(d)
 
     def reduce(self, c):
         raise Unsupported(f"{self.kind} has no lattice configured")
@@ -966,36 +942,6 @@ def _check_finite(arr, what="input"):
     return arr
 
 
-class _RowLoop:
-    """(N, dim) batch operations for a model whose operations take one point."""
-
-    def __init__(self, model):
-        self._model = model
-
-    def flow(self, c, t):
-        return self._rows(self._model.flow, c, t)
-
-    def dflow(self, c, t):
-        return self._rows(self._model.dflow, c, t, c.shape[-1:])
-
-    def reduce(self, c):
-        return np.array([self._model.reduce(row) for row in c]).reshape(c.shape)
-
-    def unstable_shift(self, c, u):
-        return self._rows(self._model.unstable_shift, c, u)
-
-    @staticmethod
-    def _rows(op, c, s, extra=()):
-        s = np.broadcast_to(np.asarray(s, dtype=float), c.shape[:-1])
-        return np.array([op(row, float(si)) for row, si in zip(c, s)]).reshape(c.shape + extra)
-
-
-def batch_model(system: System):
-    """The model's own operations on (N, dim) batches, unchecked."""
-    model = system.model
-    return model if model.batched else _RowLoop(model)
-
-
 def _flow(model, c, t, reduce):
     _check_finite(c)
     _check_finite(t, "time")
@@ -1013,7 +959,7 @@ def flow_rows(system: System, c: np.ndarray, t) -> np.ndarray:
     """`flow` on every row of an (N, dim) batch, t scalar or per row.
 
     Raises NonFinite exactly when `flow` raises it on some row."""
-    return _check_finite(_flow(batch_model(system), c, t, system.model.quotiented), "point")
+    return _check_finite(_flow(system.model, c, t, system.model.quotiented), "point")
 
 
 def tangent_flow(system: System, x: Point, t: float) -> np.ndarray:
@@ -1028,7 +974,7 @@ def tangent_flow_rows(system: System, c: np.ndarray, t) -> np.ndarray:
     """`tangent_flow` at every row of an (N, dim) batch, t scalar or per row."""
     _check_finite(c)
     _check_finite(t, "time")
-    return _check_finite(batch_model(system).dflow(c, t), "tangent flow")
+    return _check_finite(system.model.dflow(c, t), "tangent flow")
 
 
 def lattice_reduce(system: System, x: Point) -> Point:
@@ -1040,7 +986,7 @@ def lattice_reduce(system: System, x: Point) -> Point:
 
 def reduce_rows(system: System, c: np.ndarray) -> np.ndarray:
     """`lattice_reduce` on every row of an (N, dim) batch."""
-    return _check_finite(batch_model(system).reduce(_check_finite(c)), "point")
+    return _check_finite(system.model.reduce(_check_finite(c)), "point")
 
 
 def dist(system: System, p: Point, q: Point) -> float:
@@ -1071,8 +1017,11 @@ def unstable_shift(system: System, x: Point, u: float) -> Point:
 
 
 def unstable_shift_rows(system: System, c: np.ndarray, u) -> np.ndarray:
-    """`unstable_shift` on every row of an (N, dim) batch, u scalar or per row."""
-    return _check_finite(batch_model(system).unstable_shift(c, u), "point")
+    """`unstable_shift` on every row of an (N, dim) batch, u scalar or per row.
+    Quotiented models only: a chart-local leaf shift solves for one point."""
+    if not system.model.quotiented:
+        raise Unsupported(f"{system.kind} shifts one point at a time along its leaves")
+    return _check_finite(system.model.unstable_shift(c, u), "point")
 
 
 def leaf_dimension(system: System, kind: str) -> int:

@@ -91,6 +91,26 @@ def test_order_zero_chart_is_constant_with_diameter_bound():
     assert ch.remainder_bound > 0.0
 
 
+def test_order_zero_chart_falls_back_when_the_leaf_has_no_translation():
+    # perturbed Unstable leaves are curved: leaf_translate raises Unsupported,
+    # so the diameter bound is the radius across the parameter box
+    system = make("BorelSmalePerturbed")
+    ch = L.leaf_chart(system, pt(system, 4), "Unstable", order=0)
+    assert ch.remainder_bound == 0.25 * math.sqrt(ch.param_dim)
+
+
+def test_order_zero_chart_lets_a_program_fault_through(monkeypatch):
+    # only package errors take the fallback; a fault in the model propagates
+    system = make("BorelSmale")
+
+    def broken(*args):
+        raise RuntimeError("model fault")
+
+    monkeypatch.setattr(S, "leaf_translate", broken)
+    with pytest.raises(RuntimeError, match="model fault"):
+        L.leaf_chart(system, pt(system, 4), "Unstable", order=0)
+
+
 def test_perturbed_chart_matches_shadowing_oracle():
     """Locate fiber leaf points by bisection on the transverse coordinate so
     the forward (stable) orbit distance decays, then compare to the chart."""

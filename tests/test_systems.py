@@ -331,7 +331,7 @@ def test_asl2_commutator_projection_formula():
 
 
 # ---------------------------------------------------------------------------
-# batched operations: every row bit-identical to the call on that row alone
+# row operations: every row bit-identical to the call on that row alone
 
 QUOTIENT_KINDS = ("CatSuspension", "BorelSmale", "BorelSmalePerturbed")
 
@@ -666,3 +666,214 @@ def test_perturbed_forward_and_backward_flows_invert_each_other(seed, height, t)
         assert residual == 0.0
     expect = S.flow(system, x, residual, reduce=False)
     assert np.max(np.abs(y.coords - expect.coords)) <= PERT_RTOL * np.max(np.abs(expect.coords))
+
+
+# ---------------------------------------------------------------------------
+# the nil pair's rows against the one-point code they replaced
+
+
+class NilScalar:
+    """The Heisenberg pair's flow, Jacobian, reduction and leaf shift on one
+    point, with the group law as `heisenberg_mult` on each copy: the
+    reference for its rows."""
+
+    COPIES = ([0, 2, 4], [1, 3, 5])  # (x, y, z) of each Heisenberg copy
+
+    def __init__(self, m):
+        self.m = m
+
+    @classmethod
+    def pair_mult(cls, l, r):
+        out = np.empty(6)
+        for copy in cls.COPIES:
+            out[copy] = S.heisenberg_mult(l[copy], r[copy])
+        return out
+
+    @classmethod
+    def pair_inverse(cls, g):
+        out = np.empty(6)
+        for copy in cls.COPIES:
+            out[copy] = S.heisenberg_inverse(g[copy])
+        return out
+
+    def flow(self, c, t):
+        out = c.copy()
+        out[:6] = c[:6] * np.exp(self.m.rates[:6] * t)
+        out[6] += t
+        return out
+
+    def dflow(self, c, t):
+        d = np.exp(self.m.rates * t)
+        d[6] = 1.0
+        return np.diag(d)
+
+    def reduce(self, c):
+        theta = c[6] - np.floor(c[6])
+        v = c[:6] * np.exp(self.m.rates[:6] * -theta)
+        n = S.RING_BASIS_INV @ v[[0, 1]]
+        v[[0, 1]] = S.RING_BASIS @ (n - np.floor(n))
+        n = S.RING_BASIS_INV @ v[[2, 3]]
+        n_int = np.floor(n)
+        eta = -S.RING_BASIS @ n_int  # lattice pair added to y
+        v[[2, 3]] = S.RING_BASIS @ (n - n_int)
+        v[4] += v[0] * eta[0]
+        v[5] += v[1] * eta[1]
+        n = S.RING_BASIS_INV @ v[[4, 5]]
+        v[[4, 5]] = S.RING_BASIS @ (n - np.floor(n))
+        return np.append(v * np.exp(self.m.rates[:6] * theta), theta)
+
+    def unstable_shift(self, c, u):
+        l = np.zeros(6)
+        l[self.m._kind_indices("StrongUnstable")] = u
+        return np.append(self.pair_mult(l, c[:6]), c[6])
+
+
+_nil_rows = st.lists(
+    st.tuples(st.lists(st.floats(-4.0, 4.0), min_size=6, max_size=6), _heights, _pert_times,
+              st.floats(-2.0, 2.0)),
+    min_size=1, max_size=6,
+)
+
+
+@given(ab=st.sampled_from(((3, -2), (2, 1), (-1, 3))), rows=_nil_rows, t=_pert_times)
+@example(ab=(3, -2), rows=[([0.7] * 6, _BELOW_ONE, 1.0, 0.5), ([0.2] * 6, 2.0, -16.0, -1.0),
+                           ([-3.9] * 6, -(2.0**-1074), 0.5, 2.0)], t=-0.5)
+def test_nil_pair_rows_match_the_one_point_reference_bit_for_bit(ab, rows, t):
+    m = make("BorelSmale", a=ab[0], b=ab[1]).model
+    ref = NilScalar(m)
+    c = np.array([fib + [th] for fib, th, _, _ in rows])
+    ts = np.array([ti for _, _, ti, _ in rows])
+    us = np.array([u for _, _, _, u in rows])
+    for time, shift in ((t, float(us[0])), (ts, us)):
+        each, each_u = np.broadcast_to(time, len(c)), np.broadcast_to(shift, len(c))
+        assert_bits_equal(m.flow(c, time), [ref.flow(r, ti) for r, ti in zip(c, each)])
+        assert_bits_equal(m.dflow(c, time), [ref.dflow(r, ti) for r, ti in zip(c, each)])
+        assert_bits_equal(m.unstable_shift(c, shift),
+                          [ref.unstable_shift(r, u) for r, u in zip(c, each_u)])
+    assert_bits_equal(m.reduce(c), [ref.reduce(r) for r in c])
+    assert_bits_equal(m.group_displacement(c, c[::-1]),
+                      [ref.pair_mult(b[:6], ref.pair_inverse(a[:6])) for a, b in zip(c, c[::-1])])
+    for r, ti, u in zip(c, ts, us):
+        assert m.flow(r, ti).tobytes() == ref.flow(r, ti).tobytes()
+        assert m.dflow(r, ti).tobytes() == ref.dflow(r, ti).tobytes()
+        assert m.reduce(r).tobytes() == ref.reduce(r).tobytes()
+        assert m.unstable_shift(r, u).tobytes() == ref.unstable_shift(r, u).tobytes()
+
+
+def matrix_group_flow(m, c, t):
+    """A matrix group's flow on one point, with its chart-bound check."""
+    out = c * np.exp(m.rates * t)
+    out[m.theta_index] = c[m.theta_index] + t
+    if np.max(np.abs(out)) > m.chart_bound:
+        raise NonFinite("orbit left the configured chart")
+    return out
+
+
+@pytest.mark.parametrize("kind", ("ASL2Model", "SL3Model"))
+@given(data=st.data())
+@example(data=None)
+def test_matrix_group_rows_flow_matches_one_point_calls(kind, data):
+    # the chart-bound check raises on a batch exactly when some row leaves
+    m = make(kind).model
+    if data is None:  # one row stays in the chart, the next leaves it
+        c, ts, t = np.full((2, m.dim), 0.5), np.array([0.5, 16.0]), 1.0
+    else:
+        c = np.array(data.draw(st.lists(st.lists(st.floats(-0.5, 0.5), min_size=m.dim,
+                                                 max_size=m.dim), min_size=1, max_size=6)))
+        c[:, m.theta_index] = data.draw(st.lists(_heights, min_size=len(c), max_size=len(c)))
+        ts = np.array(data.draw(st.lists(_pert_times, min_size=len(c), max_size=len(c))))
+        t = data.draw(_pert_times)
+    for time in (t, ts):
+        each = np.broadcast_to(time, len(c))
+        assert_bits_equal(m.dflow(c, time), [m.dflow(r, ti) for r, ti in zip(c, each)])
+        expect = []
+        for r, ti in zip(c, each):
+            try:
+                expect.append(matrix_group_flow(m, r, ti))
+            except NonFinite:
+                with pytest.raises(NonFinite, match="orbit left the configured chart"):
+                    m.flow(r, ti)
+                expect = None
+                break
+            assert m.flow(r, ti).tobytes() == expect[-1].tobytes()
+        if expect is None:
+            with pytest.raises(NonFinite, match="orbit left the configured chart"):
+                m.flow(c, time)
+        else:
+            assert_bits_equal(m.flow(c, time), expect)
+
+
+@pytest.mark.parametrize("kind", ("ASL2Model", "SL3Model"))
+def test_leaf_shift_rows_unsupported_on_chart_local_models(kind):
+    system = make(kind)
+    with pytest.raises(Unsupported):
+        S.unstable_shift_rows(system, np.zeros((2, system.dim)), 0.1)
+    assert S.unstable_shift(system, S.origin(system), 0.1).coords.shape == (system.dim,)
+
+
+# ---------------------------------------------------------------------------
+# lattice properties: reductions agree up to a lattice element
+
+
+def _lattice_offset(kind, m, a, b):
+    """Lattice coordinates of the fiber element carrying reduced b to reduced
+    a at a's height, then the height difference mod 1: all integers exactly
+    when a and b are one point of the quotient."""
+    theta = a[m.theta_index]
+    dtheta = (theta - b[m.theta_index] + 0.5) % 1.0 - 0.5
+    if kind == "CatSuspension":  # the fiber lattice at height theta is A^theta Z^2
+        return np.append(m.power(-theta) @ (a[:2] - b[:2]), dtheta)
+    wa, wb = (p[:6] * np.exp(m.rates[:6] * -theta) for p in (a, b))
+    g = NilScalar.pair_mult(NilScalar.pair_inverse(wb), wa) if kind == "BorelSmale" else wa - wb
+    return np.concatenate([S.RING_BASIS_INV @ g[[i, i + 1]] for i in (0, 2, 4)] + [[dtheta]])
+
+
+def assert_same_coset(kind, m, a, b):
+    off = _lattice_offset(kind, m, a.coords, b.coords)
+    assert np.max(np.abs(off - np.round(off))) <= 1e-9
+
+
+def _lattice_point(system, fibers, height):
+    return S.Point(np.append(fibers[: system.dim - 1], height))
+
+
+_lattice_fibers = st.lists(st.floats(-3.0, 3.0), min_size=6, max_size=6)
+_lattice_times = st.one_of(st.floats(-2.0, 2.0), st.sampled_from((0.5, -0.5, 1.0, -1.0)))
+
+
+@pytest.mark.parametrize("kind", QUOTIENT_KINDS)
+@given(fibers=_lattice_fibers, height=_heights,
+       k=st.lists(st.integers(-3, 3), min_size=6, max_size=6))
+def test_reduce_is_idempotent_and_invariant_under_fiber_lattice_shifts(kind, fibers, height, k):
+    system = make(kind)
+    m = system.model
+    x = _lattice_point(system, fibers, height)
+    r = S.lattice_reduce(system, x)
+    assert_same_coset(kind, m, S.lattice_reduce(system, r), r)
+    # x . gamma for a fiber lattice element gamma at x's height: right
+    # multiplication by a ring-lattice element on the Heisenberg pair
+    c = x.coords.copy()
+    if kind == "CatSuspension":
+        c[:2] += m.power(height) @ np.array(k[:2], dtype=float)
+    else:
+        gamma = np.empty(6)
+        for i in (0, 2, 4):
+            gamma[[i, i + 1]] = S.RING_BASIS @ np.array(k[i : i + 2], dtype=float)
+        gamma *= np.exp(m.rates[:6] * height)
+        c[:6] = NilScalar.pair_mult(c[:6], gamma) if kind == "BorelSmale" else c[:6] + gamma
+    assert_same_coset(kind, m, S.lattice_reduce(system, S.Point(c)), r)
+
+
+@pytest.mark.parametrize("kind", QUOTIENT_KINDS)
+@given(fibers=_lattice_fibers, height=_heights, t=_lattice_times)
+def test_reduce_commutes_with_the_flow(kind, fibers, height, t):
+    system = make(kind)
+    x = _lattice_point(system, fibers, height)
+    r = S.lattice_reduce(system, x)
+    if system.model.sheared_pairs:
+        # a clock sum that rounds onto an integer on one side only crosses a
+        # roof (and shears) on that side only: clock round-off, not lattice
+        th = system.model.theta_index
+        assume(math.floor(x.coords[th] + t) - math.floor(x.coords[th])
+               == math.floor(r.coords[th] + t) - math.floor(r.coords[th]))
+    assert_same_coset(kind, system.model, S.flow(system, x, t), S.flow(system, r, t))
