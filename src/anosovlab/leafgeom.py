@@ -88,8 +88,10 @@ class LeafChart:
     ``evaluate`` is the authoritative chart map; ``coeffs`` is its polynomial
     truncation at ``order`` with sup error ``remainder_bound`` inside
     ``radius``.  Both come from ``fit()``, run on the first read of either
-    and cached: the projection path reads only ``evaluate``, ``jacobian``,
-    ``param_dim`` and ``evaluator_error``, so it never fits a perturbed chart.
+    and cached.  The projection path reads only ``evaluate``, ``jacobian``,
+    ``param_dim`` and ``evaluator_error``, so ``stable_projection`` never
+    fits its center-stable chart, on any model, nor a perturbed target;
+    ``leaf_chart`` still fits exact-evaluator charts when it builds them.
     """
 
     base: Point
@@ -309,12 +311,13 @@ def _orthonormalize_params(evaluator, pdim, h=1e-6):
 
 def _linear_chart(system, x, kind, order):
     model = system.model
+    base = x.copy()
     if hasattr(model, "leaf_evaluator"):
-        evaluator = model.leaf_evaluator(x.coords, kind)
+        evaluator = model.leaf_evaluator(base.coords, kind)
         affine = False
     else:
         def evaluator(params):
-            return sysmod.leaf_translate(system, x, kind, params).coords
+            return sysmod.leaf_translate(system, base, kind, params).coords
 
         # left translation is affine in polarised/flat coordinates, except
         # along the flow direction of a center-stable leaf
@@ -323,20 +326,22 @@ def _linear_chart(system, x, kind, order):
     pdim = sysmod.leaf_dimension(system, kind)
     evaluator = _orthonormalize_params(evaluator, pdim)
     radius = _default_radius(system)
-    if affine:
-        zero = evaluator(np.zeros(pdim))
-        terms = {tuple([0] * pdim): zero}
-        for j in range(pdim):
-            e = np.zeros(pdim, dtype=int)
-            e[j] = 1
-            unit = evaluator(np.eye(pdim)[j]) - zero
-            terms[tuple(e)] = unit
-        poly = PolyMap(pdim, system.dim, terms)
-    else:
-        poly = PolyMap.fit(evaluator, pdim, system.dim, max(order, 1), radius)
-    rem = _validate_remainder(evaluator, poly, radius)
-    return LeafChart(x.copy(), kind, max(order, 1), pdim, system.dim, radius,
-                     lambda: (poly, rem), evaluator, 0.0)
+
+    def fit():
+        if affine:
+            zero = evaluator(np.zeros(pdim))
+            terms = {tuple([0] * pdim): zero}
+            for j in range(pdim):
+                e = np.zeros(pdim, dtype=int)
+                e[j] = 1
+                unit = evaluator(np.eye(pdim)[j]) - zero
+                terms[tuple(e)] = unit
+            poly = PolyMap(pdim, system.dim, terms)
+        else:
+            poly = PolyMap.fit(evaluator, pdim, system.dim, max(order, 1), radius)
+        return poly, _validate_remainder(evaluator, poly, radius)
+
+    return LeafChart(base, kind, max(order, 1), pdim, system.dim, radius, fit, evaluator, 0.0)
 
 
 def _validate_remainder(evaluator, poly, radius, n=7):
@@ -435,6 +440,14 @@ def leaf_chart(system: System, x: Point, kind: str, order: int = 3) -> LeafChart
             rem = radius * math.sqrt(pdim)
         return LeafChart(x.copy(), kind, 0, pdim, system.dim, radius,
                          lambda: (poly, rem), None, rem)
+    chart = _chart(system, x, kind, order)
+    if not system.model.sheared_pairs:
+        chart.coeffs  # exact-evaluator charts are fitted when built
+    return chart
+
+
+def _chart(system, x, kind, order):
+    """Unfitted chart of order >= 1: the fit runs on the first read of it."""
     if system.model.sheared_pairs:
         return _perturbed_chart(system, x, kind, order)
     return _linear_chart(system, x, kind, order)
@@ -461,7 +474,7 @@ def stable_projection(system: System, x: Point, target: LeafChart, tol: float = 
         raise NoIntersection(
             f"tolerance {tol:g} finer than chart accuracy {target.evaluator_error:g}"
         )
-    cs = leaf_chart(system, x, "CenterStable", order=max(target.order, 2))
+    cs = _chart(system, x, "CenterStable", max(target.order, 2))
     p_cs = cs.param_dim
     p_u = target.param_dim
     if p_cs + p_u != system.dim:

@@ -116,7 +116,8 @@ class System:
 
 
 def _frac(x):
-    return x - np.floor(x)
+    """x mod 1 in [0, 1): x - floor(x) alone rounds to 1.0 on [-2**-54, 0)."""
+    return np.minimum(x - np.floor(x), 1.0 - 2.0**-53)
 
 
 def matvec(P, v):

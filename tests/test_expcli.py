@@ -1,8 +1,10 @@
 """Config parsing, schema validation, deterministic runs, plot emission, CLI."""
 
+import hashlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -234,3 +236,26 @@ def test_degenerate_sampling_inputs_exit_with_typed_error(tmp_path, capsys, text
     lines = captured.err.strip().splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0])["error"] == error
+
+
+# ---------------------------------------------------------------------------
+# byte determinism of the shipped configs
+
+#: sha256 prefix of each `configs/*.cfg` payload; a change that moves one
+#: changes a result on purpose and says so
+PAYLOAD_SHA256 = {
+    "bilipschitz_perturbed": "b6bc1a897599cb38",
+    "correlation_cat": "71d3a25c9b36ee3c",
+    "equidistribution_cat": "d9bc2fd892992811",
+    "lyapunov_weight_ladder": "60cae5e5eb5b95a7",
+    "qni_sl3": "0b4d229d8cd3abce",
+    "stopping_borel_smale": "4f589197c06e9c3d",
+    "yconfig_borel_smale": "632160b85e035020",
+}
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in CONFIGS.glob("*.cfg")))
+def test_config_payload_matches_its_pinned_hash(name):
+    report = E.run(E.parse_config((CONFIGS / f"{name}.cfg").read_text()), write=False)
+    assert hashlib.sha256(E.payload_bytes(report)).hexdigest()[:16] == PAYLOAD_SHA256[name]

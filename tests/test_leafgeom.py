@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anosovlab import leafgeom as L
@@ -429,16 +429,20 @@ def test_series_arithmetic_matches_the_scalar_loops_bit_for_bit(data, order, lea
 # the chart polynomial is fitted on first read
 
 
-def _count_fits(monkeypatch):
+def _count_calls(monkeypatch, owner, name, wrap=lambda f: f):
     calls = []
-    original = L.PolyMap.fit
+    original = getattr(owner, name)
 
     def counting(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(L.PolyMap, "fit", staticmethod(counting))
+    monkeypatch.setattr(owner, name, wrap(counting))
     return calls
+
+
+def _count_fits(monkeypatch):
+    return _count_calls(monkeypatch, L.PolyMap, "fit", staticmethod)
 
 
 def test_perturbed_chart_fits_its_polynomial_on_first_read(monkeypatch):
@@ -459,3 +463,66 @@ def test_perturbed_chart_fits_its_polynomial_on_first_read(monkeypatch):
     assert coeffs.terms.keys() == fresh.terms.keys()
     for exps, vec in coeffs.terms.items():
         assert vec.tobytes() == fresh.terms[exps].tobytes()
+
+
+@pytest.mark.parametrize("kind, leaf, fits_at_build", [
+    ("BorelSmale", "Unstable", 0),  # affine: two-term polynomial, no least squares
+    ("BorelSmale", "CenterStable", 1),
+    ("ASL2Model", "StrongUnstable", 1),
+])
+def test_public_exact_chart_is_fitted_once_when_built(monkeypatch, kind, leaf, fits_at_build):
+    system = make(kind)
+    fits = _count_fits(monkeypatch)
+    checks = _count_calls(monkeypatch, L, "_validate_remainder")
+    chart = L.leaf_chart(system, pt(system, 5), leaf, order=2)
+    assert (len(fits), len(checks)) == (fits_at_build, 1)
+    chart.coeffs, chart.remainder_bound
+    chart.evaluate_poly(np.zeros(chart.param_dim))
+    assert (len(fits), len(checks)) == (fits_at_build, 1)
+
+
+def _check_unfitted_projection(system, xp, ux):
+    """The projection fits no polynomial, and gives bit for bit the answer of
+    a projection whose center-stable chart is fitted before the Newton solve.
+
+    The target is left unfitted too, so the counts cover the whole projection
+    (and the test skips the seconds an SL3 target fit takes)."""
+    target = L._chart(system, xp, "Unstable", 2)
+    with pytest.MonkeyPatch.context() as m:
+        fits = _count_fits(m)
+        checks = _count_calls(m, L, "_validate_remainder")
+        z, p_u, p_cs = L.stable_projection(system, ux, target, tol=1e-10, return_params=True)
+        assert not fits and not checks
+    unfitted = L._chart
+
+    def fitted_first(*args):
+        chart = unfitted(*args)
+        chart.coeffs
+        return chart
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(L, "_chart", fitted_first)
+        fits = _count_fits(m)
+        z_ref, p_u_ref, p_cs_ref = L.stable_projection(system, ux, target, tol=1e-10,
+                                                       return_params=True)
+        assert len(fits) == 1
+    assert z.coords.tobytes() == z_ref.coords.tobytes()
+    assert p_u.tobytes() == p_u_ref.tobytes() and p_cs.tobytes() == p_cs_ref.tobytes()
+
+
+@pytest.mark.parametrize("kind", ("ASL2Model", "BorelSmale"))
+@settings(max_examples=2)  # an ASL2 center-stable fit takes seconds
+@given(seed=st.integers(0, 2**16), s=st.lists(st.floats(-5e-3, 5e-3), min_size=3, max_size=3),
+       u=st.floats(2e-3, 6e-3))
+def test_stable_projection_fits_no_center_stable_chart(kind, seed, s, u):
+    system = make(kind)
+    x = pt(system, seed)
+    xp = S.stable_translate(system, x, s[: S.leaf_dimension(system, "Stable")])
+    _check_unfitted_projection(system, xp, S.strong_unstable_translate(system, x, [u]))
+
+
+def test_sl3_stable_projection_fits_no_center_stable_chart():
+    system = make("SL3Model")
+    x = pt(system, 10)
+    xp = S.stable_translate(system, x, [2e-3, 3e-3, -1e-3])
+    _check_unfitted_projection(system, xp, S.strong_unstable_translate(system, x, [4e-3]))

@@ -365,7 +365,7 @@ class CatScalar:
         return np.append(self.power(t) @ c[:2], c[2] + t)
 
     def reduce(self, c):
-        theta = c[2] - np.floor(c[2])
+        theta = min(c[2] - np.floor(c[2]), _BELOW_ONE)
         w = self.power(-theta) @ c[:2]
         return np.append(self.power(theta) @ (w - np.floor(w)), theta)
 
@@ -548,7 +548,7 @@ class PerturbedScalar:
         return out, D
 
     def reduce(self, c):
-        theta = c[6] - np.floor(c[6])
+        theta = min(c[6] - np.floor(c[6]), _BELOW_ONE)
         w = c[:6] * np.exp(self.m.rates[:6] * -theta)
         out_pairs = np.empty(6)
         for (i, j) in ((0, 1), (2, 3), (4, 5)):
@@ -708,7 +708,7 @@ class NilScalar:
         return np.diag(d)
 
     def reduce(self, c):
-        theta = c[6] - np.floor(c[6])
+        theta = min(c[6] - np.floor(c[6]), _BELOW_ONE)
         v = c[:6] * np.exp(self.m.rates[:6] * -theta)
         n = S.RING_BASIS_INV @ v[[0, 1]]
         v[[0, 1]] = S.RING_BASIS @ (n - np.floor(n))
@@ -862,6 +862,19 @@ def test_reduce_is_idempotent_and_invariant_under_fiber_lattice_shifts(kind, fib
         gamma *= np.exp(m.rates[:6] * height)
         c[:6] = NilScalar.pair_mult(c[:6], gamma) if kind == "BorelSmale" else c[:6] + gamma
     assert_same_coset(kind, m, S.lattice_reduce(system, S.Point(c)), r)
+
+
+@pytest.mark.parametrize("kind", QUOTIENT_KINDS)
+@given(fibers=_lattice_fibers, height=st.floats(-(2.0**-54), 0.0, exclude_max=True))
+@example(fibers=[0.1, 0.2, 0.3, 0.4, 0.5, 0.6], height=-(2.0**-60))
+def test_reduce_maps_heights_just_below_zero_into_the_unit_interval(kind, fibers, height):
+    # x - floor(x) rounds to 1.0 on [-2**-54, 0): past the roof crossing
+    # (and, on the perturbed model, the shear) the point has not yet made
+    system = make(kind)
+    x = _lattice_point(system, fibers, height)
+    r = S.lattice_reduce(system, x)
+    assert 0.0 <= r.coords[system.model.theta_index] < 1.0
+    assert_same_coset(kind, system.model, S.flow(system, x, 0.5), S.flow(system, r, 0.5))
 
 
 @pytest.mark.parametrize("kind", QUOTIENT_KINDS)
