@@ -618,6 +618,7 @@ def _error_json(exc):
     )
 
 
+@np.errstate(all="ignore")  # a breakdown reaches stderr as its typed error alone
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="anosovlab",
                                      description="hyperbolic-flow experiment runner")

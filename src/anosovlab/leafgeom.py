@@ -65,13 +65,8 @@ class PolyMap:
             for e in itertools.product(range(order + 1), repeat=param_dim)
             if sum(e) <= order
         ]
-        if n_grid**param_dim <= 4 * max(len(exps), 32):
-            axes = [np.linspace(-radius, radius, n_grid)] * param_dim
-            pts = np.array(list(itertools.product(*axes)))
-        else:
-            gen = np.random.Generator(np.random.Philox(20240301))
-            n_pts = max(3 * len(exps), 120)
-            pts = radius * (2.0 * gen.random((n_pts, param_dim)) - 1.0)
+        pts = _box_points(param_dim, radius, n_grid, 4 * max(len(exps), 32),
+                          20240301, max(3 * len(exps), 120))
         A = np.empty((len(pts), len(exps)))
         for j, e in enumerate(exps):
             A[:, j] = np.prod(pts**np.array(e), axis=1)
@@ -85,13 +80,16 @@ class PolyMap:
 class LeafChart:
     """Parameterised local leaf through `base`.
 
-    ``evaluate`` is the authoritative chart map; ``coeffs`` is its polynomial
-    truncation at ``order`` with sup error ``remainder_bound`` inside
-    ``radius``.  Both come from ``fit()``, run on the first read of either
-    and cached.  The projection path reads only ``evaluate``, ``jacobian``,
-    ``param_dim`` and ``evaluator_error``, so ``stable_projection`` never
-    fits its center-stable chart, on any model, nor a perturbed target;
-    ``leaf_chart`` still fits exact-evaluator charts when it builds them.
+    ``evaluate`` is the authoritative chart map (``evaluator``: the model's
+    group arithmetic, its left translation or its graph-transform jets; at
+    order 0 the constant polynomial); ``coeffs`` is its polynomial truncation
+    at ``order`` with sup error ``remainder_bound`` inside ``radius``.  Both
+    come from ``fit()``, run on the first read of either and cached.  One
+    builder, ``_chart``, makes every chart of order >= 1.  The projection
+    path reads only ``evaluate``, ``jacobian``, ``param_dim`` and
+    ``evaluator_error``, so ``stable_projection`` never fits its
+    center-stable chart, on any model, nor a perturbed target; ``leaf_chart``
+    still fits exact-evaluator charts when it builds them.
     """
 
     base: Point
@@ -101,7 +99,7 @@ class LeafChart:
     out_dim: int
     radius: float
     fit: object = field(repr=False)
-    evaluator: object = field(repr=False, default=None)
+    evaluator: object = field(repr=False)
     #: accuracy of `evaluate` itself: 0 for exact group evaluators, the
     #: polynomial remainder when the polynomial is all there is
     evaluator_error: float = 0.0
@@ -119,23 +117,35 @@ class LeafChart:
         return self._fitted[1]
 
     def evaluate(self, params):
-        if self.evaluator is not None:
-            return self.evaluator(np.atleast_1d(np.asarray(params, dtype=float)))
-        return self.coeffs.evaluate(params)
+        return self.evaluator(np.atleast_1d(np.asarray(params, dtype=float)))
 
     def evaluate_poly(self, params):
         return self.coeffs.evaluate(params)
 
-    def jacobian(self, params, h=1e-6):
-        params = np.atleast_1d(np.asarray(params, dtype=float))
-        J = np.empty((self.out_dim, self.param_dim))
-        for j in range(self.param_dim):
-            dp = params.copy()
-            dm = params.copy()
-            dp[j] += h
-            dm[j] -= h
-            J[:, j] = (self.evaluate(dp) - self.evaluate(dm)) / (2.0 * h)
-        return J
+    def jacobian(self, params):
+        return _difference_jacobian(self.evaluate, np.atleast_1d(np.asarray(params, dtype=float)))
+
+
+def _difference_jacobian(f, params, h=1e-6):
+    """Central-difference Jacobian of f at params, one column per parameter."""
+    cols = []
+    for j in range(len(params)):
+        dp = params.copy()
+        dm = params.copy()
+        dp[j] += h
+        dm[j] -= h
+        cols.append((f(dp) - f(dm)) / (2.0 * h))
+    return np.column_stack(cols)
+
+
+def _box_points(param_dim, radius, n_grid, max_grid, seed, n_sample):
+    """Full grid of the parameter box, or a seeded sample of it when the grid
+    would pass max_grid points (evaluator calls dominate the cost there)."""
+    if n_grid**param_dim <= max_grid:
+        axes = [np.linspace(-radius, radius, n_grid)] * param_dim
+        return np.array(list(itertools.product(*axes)))
+    gen = np.random.Generator(np.random.Philox(seed))
+    return radius * (2.0 * gen.random((n_sample, param_dim)) - 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -288,14 +298,9 @@ def _fiber_leaf_series(model, pair_vals, theta, rates, unstable, order, iters=80
 # chart construction
 
 
-def _orthonormalize_params(evaluator, pdim, h=1e-6):
+def _orthonormalize_params(evaluator, pdim):
     """Wrap an evaluator so its first-order term is an isometric injection."""
-    J = np.empty((len(evaluator(np.zeros(pdim))), pdim))
-    for j in range(pdim):
-        dp = np.zeros(pdim)
-        dp[j] = h
-        J[:, j] = (evaluator(dp) - evaluator(-dp)) / (2.0 * h)
-    _, R = np.linalg.qr(J)
+    _, R = np.linalg.qr(_difference_jacobian(evaluator, np.zeros(pdim)))
     sgn = np.sign(np.diag(R))
     sgn[sgn == 0.0] = 1.0
     R = R * sgn[:, None]
@@ -309,52 +314,9 @@ def _orthonormalize_params(evaluator, pdim, h=1e-6):
     return wrapped
 
 
-def _linear_chart(system, x, kind, order):
-    model = system.model
-    base = x.copy()
-    if hasattr(model, "leaf_evaluator"):
-        evaluator = model.leaf_evaluator(base.coords, kind)
-        affine = False
-    else:
-        def evaluator(params):
-            return sysmod.leaf_translate(system, base, kind, params).coords
-
-        # left translation is affine in polarised/flat coordinates, except
-        # along the flow direction of a center-stable leaf
-        affine = kind != "CenterStable"
-
-    pdim = sysmod.leaf_dimension(system, kind)
-    evaluator = _orthonormalize_params(evaluator, pdim)
-    radius = _default_radius(system)
-
-    def fit():
-        if affine:
-            zero = evaluator(np.zeros(pdim))
-            terms = {tuple([0] * pdim): zero}
-            for j in range(pdim):
-                e = np.zeros(pdim, dtype=int)
-                e[j] = 1
-                unit = evaluator(np.eye(pdim)[j]) - zero
-                terms[tuple(e)] = unit
-            poly = PolyMap(pdim, system.dim, terms)
-        else:
-            poly = PolyMap.fit(evaluator, pdim, system.dim, max(order, 1), radius)
-        return poly, _validate_remainder(evaluator, poly, radius)
-
-    return LeafChart(base, kind, max(order, 1), pdim, system.dim, radius, fit, evaluator, 0.0)
-
-
 def _validate_remainder(evaluator, poly, radius, n=7):
-    if n**poly.param_dim <= 400:
-        pts = [
-            np.array(p)
-            for p in itertools.product(*[np.linspace(-radius, radius, n)] * poly.param_dim)
-        ]
-    else:
-        gen = np.random.Generator(np.random.Philox(20240302))
-        pts = radius * (2.0 * gen.random((80, poly.param_dim)) - 1.0)
     worst = 0.0
-    for p in pts:
+    for p in _box_points(poly.param_dim, radius, n, 400, 20240302, 80):
         worst = max(worst, float(np.linalg.norm(evaluator(p) - poly.evaluate(p))))
     return 0.0 if worst < 1e-13 else worst
 
@@ -363,13 +325,23 @@ def _default_radius(system):
     return 0.25 if system.model.quotiented else 0.2
 
 
-def _perturbed_chart(system, x, kind, order):
-    """Product chart: linear fast-pair axes plus one jet curve per sheared pair."""
+def _leaf_map(system, base, kind, order):
+    """(map, its own error, affine?) of the leaf: the model's exact evaluator,
+    the graph-transform jets of its sheared pairs, or its left translation."""
     model = system.model
-    pdim = sysmod.leaf_dimension(system, kind)
+    if hasattr(model, "leaf_evaluator"):
+        return model.leaf_evaluator(base.coords, kind), 0.0, False
+    if not model.sheared_pairs:
+        def translate(params):
+            return sysmod.leaf_translate(system, base, kind, params).coords
+
+        # left translation is affine in polarised/flat coordinates, except
+        # along the flow direction of a center-stable leaf
+        return translate, 0.0, kind != "CenterStable"
+
+    # product chart: linear fast-pair axes plus one jet curve per sheared pair
     radius = _default_radius(system)
     want_unstable = kind in ("Unstable", "StrongUnstable")
-    base = x.copy()
     theta = base.coords[6] - math.floor(base.coords[6])
     idxs = model._kind_indices(kind)
 
@@ -413,21 +385,15 @@ def _perturbed_chart(system, x, kind, order):
             out = model.flow(out, dtheta)
         return out
 
-    evaluator = _orthonormalize_params(evaluator, pdim)
-
-    def fit():
-        poly = PolyMap.fit(evaluator, pdim, system.dim, max(order, 1), radius)
-        return poly, max(_validate_remainder(evaluator, poly, radius), jet_error)
-
-    return LeafChart(
-        base, kind, max(order, 1), pdim, system.dim, radius, fit, evaluator, jet_error
-    )
+    return evaluator, jet_error, False
 
 
 def leaf_chart(system: System, x: Point, kind: str, order: int = 3) -> LeafChart:
     """Local chart of the leaf of `kind` through x."""
     if kind not in sysmod.LEAF_KINDS:
         raise InvalidParams(f"unknown leaf kind {kind!r}")
+    if isinstance(order, bool) or not isinstance(order, (int, np.integer)) or order < 0:
+        raise InvalidParams(f"chart order must be a non-negative integer, not {order!r}")
     if order == 0:
         pdim = sysmod.leaf_dimension(system, kind)
         poly = PolyMap(pdim, system.dim, {tuple([0] * pdim): x.coords.copy()})
@@ -439,7 +405,7 @@ def leaf_chart(system: System, x: Point, kind: str, order: int = 3) -> LeafChart
         except AnosovLabError:
             rem = radius * math.sqrt(pdim)
         return LeafChart(x.copy(), kind, 0, pdim, system.dim, radius,
-                         lambda: (poly, rem), None, rem)
+                         lambda: (poly, rem), poly.evaluate, rem)
     chart = _chart(system, x, kind, order)
     if not system.model.sheared_pairs:
         chart.coeffs  # exact-evaluator charts are fitted when built
@@ -448,9 +414,25 @@ def leaf_chart(system: System, x: Point, kind: str, order: int = 3) -> LeafChart
 
 def _chart(system, x, kind, order):
     """Unfitted chart of order >= 1: the fit runs on the first read of it."""
-    if system.model.sheared_pairs:
-        return _perturbed_chart(system, x, kind, order)
-    return _linear_chart(system, x, kind, order)
+    base = x.copy()
+    evaluator, evaluator_error, affine = _leaf_map(system, base, kind, order)
+    pdim = sysmod.leaf_dimension(system, kind)
+    evaluator = _orthonormalize_params(evaluator, pdim)
+    radius = _default_radius(system)
+
+    def fit():
+        if affine:
+            zero = evaluator(np.zeros(pdim))
+            terms = {tuple([0] * pdim): zero}
+            for unit, e in zip(np.eye(pdim), np.eye(pdim, dtype=int)):
+                terms[tuple(e)] = evaluator(unit) - zero
+            poly = PolyMap(pdim, system.dim, terms)
+        else:
+            poly = PolyMap.fit(evaluator, pdim, system.dim, order, radius)
+        return poly, max(_validate_remainder(evaluator, poly, radius), evaluator_error)
+
+    return LeafChart(base, kind, order, pdim, system.dim, radius, fit, evaluator,
+                     evaluator_error)
 
 
 # ---------------------------------------------------------------------------

@@ -512,7 +512,6 @@ class _ToralPerturbedSuspension(_AxisLeaves):
             raise InvalidParams("perturbation amplitude must be nonnegative")
         if eps_pert >= 1.0 / (4.0 * math.pi):
             raise InvalidParams("perturbation too large: requires eps_pert < 1/(4 pi)")
-        self._base = base
         self.a, self.b, self.lam = base.a, base.b, base.lam
         self.log_lam = base.log_lam
         self.eps = float(eps_pert)

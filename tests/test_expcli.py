@@ -238,6 +238,33 @@ def test_degenerate_sampling_inputs_exit_with_typed_error(tmp_path, capsys, text
     assert json.loads(lines[0])["error"] == error
 
 
+STOPPING_OVERFLOW = """
+experiment = stopping
+[system]
+kind = {kind}
+[params]
+ell = 1000
+epsilon = 0.02
+u = 0.3
+d0 = 0.0003
+"""
+
+
+@pytest.mark.parametrize("kind", ("BorelSmale", "BorelSmalePerturbed"))
+def test_cli_numerical_breakdown_prints_only_the_error_object(tmp_path, kind):
+    # the flow overflows on the way to ell/2; numpy's warnings stay off stderr
+    cfg = tmp_path / "overflow.cfg"
+    cfg.write_text(STOPPING_OVERFLOW.format(kind=kind))
+    proc = subprocess.run(
+        [sys.executable, "-m", "anosovlab.expcli", "run", str(cfg), "--out", str(tmp_path / "o")],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 3
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "NonFinite"
+
+
 # ---------------------------------------------------------------------------
 # byte determinism of the shipped configs
 

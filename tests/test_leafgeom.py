@@ -1,5 +1,6 @@
 """Leaf charts, projections, Hausdorff distance, quadrilaterals, QNI fits."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -81,6 +82,15 @@ def test_heisenberg_charts_polynomial_with_zero_remainder():
     assert ch.remainder_bound == 0.0
     p = np.array([0.1, -0.2, 0.05])
     assert np.allclose(ch.evaluate_poly(p), ch.evaluate(p), atol=1e-12)
+
+
+@pytest.mark.parametrize("kind", ("CatSuspension", "BorelSmale", "BorelSmalePerturbed",
+                                  "ASL2Model", "SL3Model"))
+@pytest.mark.parametrize("order", (-1, 2.5, True, "2", None))
+def test_chart_order_must_be_a_nonnegative_integer(kind, order):
+    system = make(kind)
+    with pytest.raises(InvalidParams, match="order"):
+        L.leaf_chart(system, pt(system, 4), "Unstable", order=order)
 
 
 def test_order_zero_chart_is_constant_with_diameter_bound():
@@ -526,3 +536,43 @@ def test_sl3_stable_projection_fits_no_center_stable_chart():
     x = pt(system, 10)
     xp = S.stable_translate(system, x, [2e-3, 3e-3, -1e-3])
     _check_unfitted_projection(system, xp, S.strong_unstable_translate(system, x, [4e-3]))
+
+
+# ---------------------------------------------------------------------------
+# chart bytes, pinned
+
+
+def _chart_digest(system, x, kinds, orders):
+    """sha256 over the maps, the error bounds and the coefficients of charts."""
+    digest = hashlib.sha256()
+    for kind in kinds:
+        for order in orders:
+            chart = L.leaf_chart(system, x, kind, order)
+            gen = np.random.Generator(np.random.Philox(7))
+            p = 0.5 * chart.radius * (2.0 * gen.random(chart.param_dim) - 1.0)
+            for arr in (chart.evaluate(p), chart.evaluate_poly(p), chart.jacobian(p),
+                        np.array([chart.evaluator_error, chart.remainder_bound])):
+                digest.update(np.ascontiguousarray(arr, dtype=float).tobytes())
+            for exps, vec in chart.coeffs.terms.items():
+                digest.update(repr(exps).encode())
+                digest.update(np.asarray(vec, dtype=float).tobytes())
+    return digest.hexdigest()[:16]
+
+
+EVERY_ORDER = (0, 1, 2, 4)
+
+
+#: sha256 prefixes of `_chart_digest`, pinned while the linear and the perturbed
+#: charts still had builders of their own
+@pytest.mark.parametrize("kind, params, kinds, orders, sha", [
+    ("CatSuspension", {}, S.LEAF_KINDS, EVERY_ORDER, "b4eca5fdec50c6d9"),
+    ("BorelSmale", {}, S.LEAF_KINDS, EVERY_ORDER, "d04efa1da1061f17"),
+    ("BorelSmalePerturbed", {"eps_pert": 0.01}, S.LEAF_KINDS, EVERY_ORDER, "966c449d167d3c6e"),
+    ("BorelSmalePerturbed", {"eps_pert": 0.0}, S.LEAF_KINDS, EVERY_ORDER, "55099c909961c880"),
+    ("ASL2Model", {}, S.LEAF_KINDS, (2,), "424b39237886b1df"),
+    # the SL3 Stable and Unstable charts take seconds each; other tests cover them
+    ("SL3Model", {}, ("StrongUnstable", "CenterStable"), (2,), "9bce468f4cbc20cb"),
+], ids=["cat", "borel_smale", "perturbed", "perturbed_eps0", "asl2", "sl3"])
+def test_leaf_charts_match_their_pinned_hash(kind, params, kinds, orders, sha):
+    system = make(kind, **params)
+    assert _chart_digest(system, pt(system, 9), kinds, orders) == sha
