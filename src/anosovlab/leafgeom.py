@@ -83,13 +83,14 @@ class LeafChart:
     ``evaluate`` is the authoritative chart map (``evaluator``: the model's
     group arithmetic, its left translation or its graph-transform jets; at
     order 0 the constant polynomial); ``coeffs`` is its polynomial truncation
-    at ``order`` with sup error ``remainder_bound`` inside ``radius``.  Both
-    come from ``fit()``, run on the first read of either and cached.  One
-    builder, ``_chart``, makes every chart of order >= 1.  The projection
-    path reads only ``evaluate``, ``jacobian``, ``param_dim`` and
-    ``evaluator_error``, so ``stable_projection`` never fits its
-    center-stable chart, on any model, nor a perturbed target; ``leaf_chart``
-    still fits exact-evaluator charts when it builds them.
+    at ``order``, from ``fit()`` on its first read, and ``remainder_bound``
+    the sup error of that truncation inside ``radius``, certified on its own
+    first read.  Both are cached.  One builder, ``_chart``, makes every chart
+    of order >= 1.  The projection path reads only ``evaluate``,
+    ``jacobian``, ``param_dim`` and ``evaluator_error``, so
+    ``stable_projection`` never fits its center-stable chart, on any model,
+    nor a perturbed target, and certifies no remainder; ``leaf_chart`` still
+    fits exact-evaluator charts when it builds them.
     """
 
     base: Point
@@ -105,16 +106,13 @@ class LeafChart:
     evaluator_error: float = 0.0
 
     @cached_property
-    def _fitted(self):
+    def coeffs(self) -> PolyMap:
         return self.fit()
 
-    @property
-    def coeffs(self) -> PolyMap:
-        return self._fitted[0]
-
-    @property
+    @cached_property
     def remainder_bound(self) -> float:
-        return self._fitted[1]
+        return max(_validate_remainder(self.evaluator, self.coeffs, self.radius),
+                   self.evaluator_error)
 
     def evaluate(self, params):
         return self.evaluator(np.atleast_1d(np.asarray(params, dtype=float)))
@@ -405,7 +403,7 @@ def leaf_chart(system: System, x: Point, kind: str, order: int = 3) -> LeafChart
         except AnosovLabError:
             rem = radius * math.sqrt(pdim)
         return LeafChart(x.copy(), kind, 0, pdim, system.dim, radius,
-                         lambda: (poly, rem), poly.evaluate, rem)
+                         lambda: poly, poly.evaluate, rem)
     chart = _chart(system, x, kind, order)
     if not system.model.sheared_pairs:
         chart.coeffs  # exact-evaluator charts are fitted when built
@@ -413,7 +411,8 @@ def leaf_chart(system: System, x: Point, kind: str, order: int = 3) -> LeafChart
 
 
 def _chart(system, x, kind, order):
-    """Unfitted chart of order >= 1: the fit runs on the first read of it."""
+    """Unfitted chart of order >= 1: the fit and the remainder check run on
+    the first reads of ``coeffs`` and ``remainder_bound``."""
     base = x.copy()
     evaluator, evaluator_error, affine = _leaf_map(system, base, kind, order)
     pdim = sysmod.leaf_dimension(system, kind)
@@ -421,15 +420,13 @@ def _chart(system, x, kind, order):
     radius = _default_radius(system)
 
     def fit():
-        if affine:
-            zero = evaluator(np.zeros(pdim))
-            terms = {tuple([0] * pdim): zero}
-            for unit, e in zip(np.eye(pdim), np.eye(pdim, dtype=int)):
-                terms[tuple(e)] = evaluator(unit) - zero
-            poly = PolyMap(pdim, system.dim, terms)
-        else:
-            poly = PolyMap.fit(evaluator, pdim, system.dim, order, radius)
-        return poly, max(_validate_remainder(evaluator, poly, radius), evaluator_error)
+        if not affine:
+            return PolyMap.fit(evaluator, pdim, system.dim, order, radius)
+        zero = evaluator(np.zeros(pdim))
+        terms = {tuple([0] * pdim): zero}
+        for unit, e in zip(np.eye(pdim), np.eye(pdim, dtype=int)):
+            terms[tuple(e)] = evaluator(unit) - zero
+        return PolyMap(pdim, system.dim, terms)
 
     return LeafChart(base, kind, order, pdim, system.dim, radius, fit, evaluator,
                      evaluator_error)

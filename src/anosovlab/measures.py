@@ -12,6 +12,7 @@ fast leaf, which is what makes exact pair integrals possible.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,17 +86,22 @@ def _section_samples(model, c, times):
 
     The section point after n roof crossings is the orbit of the section
     point of c under u -> A u mod Z^2.  Returns the section points and roof
-    heights at the times, and the roof height theta0 of c."""
+    heights at the times, and the roof height theta0 of c.
+
+    The orbit steps in Python floats: each row of A u is two products and
+    one sum, and ``% 1.0`` is exactly ``x - floor(x)``.  For integer entries
+    that are 0 or a signed power of two (the default cat map) the products
+    are exact, so the rows are those of a numpy ``A @ u`` loop bit for bit."""
     red = model.reduce(c)
     theta0 = red[2]
-    u = model.power(-theta0) @ red[:2]
-    n_units = int(math.floor(theta0 + times[-1])) + 1
-    U = np.empty((n_units + 1, 2))
-    U[0] = u - np.floor(u)
-    for n in range(n_units):
-        u = model.section_map @ u
-        u -= np.floor(u)
-        U[n + 1] = u
+    a, b = (float(v) for v in model.power(-theta0) @ red[:2])
+    p, q, r, s = (float(v) for v in model.section_map.ravel())
+    rows = array("d", (a % 1.0, b % 1.0))
+    for _ in range(int(math.floor(theta0 + times[-1])) + 1):
+        a, b = (p * a + q * b) % 1.0, (r * a + s * b) % 1.0
+        rows.append(a)
+        rows.append(b)
+    U = np.frombuffer(rows).reshape(-1, 2)
     tt = theta0 + times
     n_k = np.floor(tt).astype(int)
     return U[n_k], tt - n_k, theta0

@@ -636,8 +636,11 @@ _LOGM_DRAWS = np.random.RandomState(0)
 def _logm_posreal(g):
     """Principal log of a real matrix with positive real spectrum.
 
-    Eigen-based fast path; falls back to scipy.linalg.logm near defective
-    matrices."""
+    Eigen-based fast path.  It falls back to scipy.linalg.logm whenever the
+    computed spectrum is not real and positive to 1e-12 (a complex-conjugate
+    pair, as in every ASL2 fallback), when the eigenvector matrix has
+    condition number 1e8 or more, or when the eigen log keeps an imaginary
+    part above 1e-9."""
     w, V = np.linalg.eig(g)
     if np.min(np.abs(w.real)) > 1e-12 and np.max(np.abs(w.imag)) < 1e-12 and np.min(w.real) > 0:
         cond = np.linalg.cond(V)

@@ -459,15 +459,18 @@ def test_perturbed_chart_fits_its_polynomial_on_first_read(monkeypatch):
     system = make("BorelSmalePerturbed", eps_pert=0.01)
     chart = L.leaf_chart(system, pt(system, 6), "Unstable", order=4)
     fits = _count_fits(monkeypatch)
+    checks = _count_calls(monkeypatch, L, "_validate_remainder")
     assert chart.param_dim == 3 and chart.out_dim == system.dim
     chart.evaluate(np.full(chart.param_dim, 0.01))
     chart.jacobian(np.zeros(chart.param_dim))
     assert chart.evaluator_error > 0.0
-    assert not fits
+    assert not fits and not checks
     coeffs = chart.coeffs
-    assert len(fits) == 1
+    assert (len(fits), len(checks)) == (1, 0)
     rem = chart.remainder_bound
-    assert chart.coeffs is coeffs and len(fits) == 1
+    assert (len(fits), len(checks)) == (1, 1)
+    assert chart.coeffs is coeffs and chart.remainder_bound == rem
+    assert (len(fits), len(checks)) == (1, 1)
     assert rem >= chart.evaluator_error
     fresh = L.PolyMap.fit(chart.evaluator, chart.param_dim, chart.out_dim, 4, chart.radius)
     assert coeffs.terms.keys() == fresh.terms.keys()
@@ -481,14 +484,35 @@ def test_perturbed_chart_fits_its_polynomial_on_first_read(monkeypatch):
     ("ASL2Model", "StrongUnstable", 1),
 ])
 def test_public_exact_chart_is_fitted_once_when_built(monkeypatch, kind, leaf, fits_at_build):
+    # the fit runs when the chart is built, its remainder check on first read
     system = make(kind)
     fits = _count_fits(monkeypatch)
     checks = _count_calls(monkeypatch, L, "_validate_remainder")
     chart = L.leaf_chart(system, pt(system, 5), leaf, order=2)
+    assert (len(fits), len(checks)) == (fits_at_build, 0)
+    rem = chart.remainder_bound
     assert (len(fits), len(checks)) == (fits_at_build, 1)
-    chart.coeffs, chart.remainder_bound
+    coeffs = chart.coeffs
+    assert chart.remainder_bound == rem and chart.coeffs is coeffs
     chart.evaluate_poly(np.zeros(chart.param_dim))
     assert (len(fits), len(checks)) == (fits_at_build, 1)
+
+
+def test_stable_projection_certifies_no_target_remainder(monkeypatch):
+    system = make("ASL2Model")
+    x = pt(system, 12)
+    xp = S.stable_translate(system, x, [2e-3, -3e-3, 1e-3][: S.leaf_dimension(system, "Stable")])
+    target = L.leaf_chart(system, xp, "Unstable", order=2)
+    fits = _count_fits(monkeypatch)
+    checks = _count_calls(monkeypatch, L, "_validate_remainder")
+    L.stable_projection(system, S.strong_unstable_translate(system, x, [4e-3]), target,
+                        tol=1e-10)
+    assert not fits and not checks
+    rem = target.remainder_bound
+    assert (len(fits), len(checks)) == (0, 1)
+    fresh = max(L._validate_remainder(target.evaluator, target.coeffs, target.radius),
+                target.evaluator_error)
+    assert np.float64(rem).tobytes() == np.float64(fresh).tobytes()
 
 
 def _check_unfitted_projection(system, xp, ux):

@@ -322,3 +322,42 @@ def test_monte_carlo_correlation_equals_scalar_loop(kind, seed, n_u, t, s):
     phi = M.leafwise_test(system)
     got = M.correlation_decay(system, x, phi, t, s, n_u=n_u, seed=seed, method="mc")
     assert got == mc_reference(system, x, phi, t, s, n_u, seed)
+
+
+# ---------------------------------------------------------------------------
+# the toral section orbit against a numpy `A @ u` loop
+
+_BELOW_ONE = math.nextafter(1.0, 0.0)
+_unit = st.one_of(st.just(0.0), st.just(_BELOW_ONE), st.floats(0.0, 1.0, exclude_max=True))
+
+
+def _section_samples_by_matmul(model, c, times):
+    """The section orbit with one numpy `A @ u` product per roof crossing."""
+    red = model.reduce(c)
+    theta0 = red[2]
+    u = model.power(-theta0) @ red[:2]
+    n_units = int(math.floor(theta0 + times[-1])) + 1
+    U = np.empty((n_units + 1, 2))
+    U[0] = u - np.floor(u)
+    for n in range(n_units):
+        u = model.section_map @ u
+        u -= np.floor(u)
+        U[n + 1] = u
+    tt = theta0 + times
+    n_k = np.floor(tt).astype(int)
+    return U[n_k], tt - n_k, theta0
+
+
+# integer entries 0 or a signed power of two: every product in A u is exact
+@given(matrix=st.sampled_from((((2, 1), (1, 1)), ((1, 1), (1, 2)), ((2, -1), (-1, 1)),
+                               ((4, 1), (-1, 0)))),
+       u=st.tuples(_unit, _unit), theta=_unit, lift=st.integers(-2, 2),
+       times=st.lists(st.floats(0.0, 600.0), min_size=1, max_size=5))
+def test_section_orbit_equals_a_matmul_loop_bit_for_bit(matrix, u, theta, lift, times):
+    model = make("CatSuspension", matrix=matrix).model
+    c = np.array([u[0] + lift, u[1], theta])
+    times = np.sort(np.array(times))
+    got = M._section_samples(model, c, times)
+    ref = _section_samples_by_matmul(model, c, times)
+    for a, b in zip(got, ref):
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
