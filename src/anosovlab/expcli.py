@@ -65,12 +65,14 @@ EXPERIMENTS = (
 
 _TOP_KEYS = {"experiment", "seed", "output_dir"}
 
+#: model parameter -> [system] key, where the two differ
+_CONFIG_KEYS = {"lam": "lambda"}
+
+#: [system] key -> the model's default value, per kind: a value must be a
+#: number where the default is, and as many numbers as the default holds
 _SYSTEM_SCHEMAS = {
-    "CatSuspension": {"matrix": list},
-    "BorelSmale": {"a": float, "b": float, "lambda": float},
-    "BorelSmalePerturbed": {"a": float, "b": float, "lambda": float, "eps_pert": float},
-    "ASL2Model": {},
-    "SL3Model": {},
+    kind: {_CONFIG_KEYS.get(k, k): default for k, default in defaults.items()}
+    for kind, (_, defaults) in sysmod.MODELS.items()
 }
 
 # params schema per experiment: key -> (required, default)
@@ -161,6 +163,10 @@ def _parse_scalar(text):
     return text
 
 
+def _is_number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def _suggest(key, candidates):
     near = difflib.get_close_matches(key, candidates, n=1)
     return f" (did you mean {near[0]!r}?)" if near else ""
@@ -223,11 +229,17 @@ def parse_config(text: str) -> ExperimentConfig:
         sys_schema = {}
     else:
         sys_schema = _SYSTEM_SCHEMAS[kind]
-    for key in sysd:
+    for key, value in sysd.items():
         if key not in sys_schema:
             problems.append(
                 f"unknown [system] key {key!r}" + _suggest(key, sys_schema)
             )
+            continue
+        n = np.size(sys_schema[key])
+        got = value if isinstance(value, list) else [value]
+        if len(got) != n or not all(map(_is_number, got)):
+            problems.append(f"[system] {key!r} must be "
+                            + ("a number" if n == 1 else f"a list of {n} numbers"))
 
     params = dict(sections["params"])
     if experiment in _PARAM_SCHEMAS:
@@ -246,19 +258,15 @@ def parse_config(text: str) -> ExperimentConfig:
     if experiment == "correlation":
         gaps = params["gaps"]
         # the decay fit needs two gaps; a single value parses as a scalar
-        if not (isinstance(gaps, list) and len(gaps) >= 2 and all(
-                isinstance(g, (int, float)) and not isinstance(g, bool) for g in gaps)):
+        if not (isinstance(gaps, list) and len(gaps) >= 2 and all(map(_is_number, gaps))):
             problems.append("[params] 'gaps' must be a list of at least two numbers")
     if problems:
         raise SchemaError(problems)
 
-    spec_params = {}
-    if kind in ("BorelSmale", "BorelSmalePerturbed"):
-        rename = {"lambda": "lam"}
-        for k, v in sysd.items():
-            spec_params[rename.get(k, k)] = v
-    elif kind == "CatSuspension" and "matrix" in sysd:
-        m = sysd["matrix"]
+    param_of = {key: k for k, key in _CONFIG_KEYS.items()}
+    spec_params = {param_of.get(k, k): v for k, v in sysd.items()}
+    if "matrix" in spec_params:
+        m = spec_params["matrix"]
         spec_params["matrix"] = ((m[0], m[1]), (m[2], m[3]))
     return ExperimentConfig(
         experiment=experiment,
@@ -289,12 +297,8 @@ def serialize_config(config: ExperimentConfig) -> str:
         "[system]",
         f"kind = {config.system.kind}",
     ]
-    rename = {"lam": "lambda"}
-    for k in sorted(config.system.params):
-        v = config.system.params[k]
-        if k == "matrix":
-            v = [v[0][0], v[0][1], v[1][0], v[1][1]]
-        lines.append(f"{rename.get(k, k)} = {fmt(v)}")
+    for k in sorted(config.system.params):  # fmt writes the matrix rows as one list
+        lines.append(f"{_CONFIG_KEYS.get(k, k)} = {fmt(config.system.params[k])}")
     lines += ["", "[params]"]
     for k in sorted(config.params):
         v = config.params[k]

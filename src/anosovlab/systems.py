@@ -31,6 +31,16 @@ Leaves are orbits of the corresponding (uni potent) subgroups acting on the
 left; leaf parameters are matrix entries of the unipotent factor (for matrix
 groups) or polarised group coordinates (for the Heisenberg pair).
 
+Declarations
+------------
+``MODELS`` lists each kind once, with its class and its parameter defaults;
+``make_system`` and the config schema both read it.  The four axis models
+declare one growth rate per chart axis, and ``_AxisLeaves._declare`` derives
+the rest from it: the blocks, the split, the top, second and slow-stable
+rates, the exact exponents and the one leaf table (with, on the matrix
+groups, the matrix entry of each unipotent leaf parameter).  The cat map's
+blocks are eigenvectors, so it keeps its own block and leaf tables.
+
 Rows
 ----
 Every model's ``flow`` and ``dflow``, and the quotiented models' ``reduce``
@@ -43,6 +53,7 @@ that row alone.  ``flow_rows``, ``tangent_flow_rows``, ``reduce_rows`` and
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -129,6 +140,13 @@ def matvec(P, v):
     return np.matmul(P, v[..., None])[..., 0]
 
 
+def _leaf_entry(table, kind):
+    """A model's per-leaf-kind table entry; the one check of the leaf kind."""
+    if kind not in table:
+        raise InvalidParams(f"unknown leaf kind {kind!r}")
+    return table[kind]
+
+
 def _axis(dim, i):
     e = np.zeros(dim)
     e[i] = 1.0
@@ -198,7 +216,7 @@ class _CatSuspension:
 
     def __init__(self, matrix):
         A = np.asarray(matrix, dtype=float)
-        if A.shape != (2, 2) or not np.allclose(A, np.round(A)):
+        if A.shape != (2, 2) or not np.all(np.isfinite(A)) or not np.allclose(A, np.round(A)):
             raise InvalidParams("cat map matrix must be 2x2 integer")
         if abs(round(np.linalg.det(A)) - 1) > 0:
             raise InvalidParams("cat map matrix must have determinant 1")
@@ -215,7 +233,6 @@ class _CatSuspension:
         self._Vinv = np.linalg.inv(self._V)
         self.dim = 3
         self.theta_index = 2
-        self.weights = np.array([self.log_mu, -self.log_mu, 0.0])  # per eigendirection
         e_plus = np.concatenate([self._V[:, 0], [0.0]])
         e_minus = np.concatenate([self._V[:, 1], [0.0]])
         e_theta = _axis(3, 2)
@@ -267,9 +284,7 @@ class _CatSuspension:
     _LEAF_BLOCKS = {"Unstable": (0,), "StrongUnstable": (0,), "Stable": (2,), "CenterStable": (2, 1)}
 
     def _leaf_blocks(self, kind):
-        if kind not in self._LEAF_BLOCKS:
-            raise InvalidParams(f"unknown leaf kind {kind!r}")
-        return [self.blocks[i] for i in self._LEAF_BLOCKS[kind]]
+        return [self.blocks[i] for i in _leaf_entry(self._LEAF_BLOCKS, kind)]
 
     def leaf_dirs(self, kind):
         return np.column_stack([b.basis for b in self._leaf_blocks(kind)])
@@ -321,10 +336,48 @@ def _pair_inverse(g):
 
 
 class _AxisLeaves:
-    """Leaves whose parameters each move one chart axis (`_leaf_axes`), and
-    the diagonal weight flow with its clock at `theta_index`."""
+    """Models whose chart axes are weight vectors: the diagonal weight flow
+    with its clock at `theta_index`, and leaves whose parameters each move one
+    chart axis.  `_declare` derives the spectrum and the leaf table from one
+    growth rate per axis."""
 
     sheared_pairs = ()
+
+    def _declare(self, rates, theta_index):
+        """One block per distinct rate, descending, its axes in reversed
+        np.argsort order; the strong-unstable, unstable and stable leaves move
+        the fiber axes at the top, positive and negative rates, in index order;
+        the center-stable leaf moves the stable axes, the clock, then the other
+        zero-rate axes."""
+        self.rates = rates = np.asarray(rates, dtype=float)
+        self.dim, self.theta_index = len(rates), theta_index
+        groups = {}
+        for i in np.argsort(rates)[::-1]:
+            groups.setdefault(rates[i], []).append(i)
+        self.blocks = [Block(r, np.column_stack([_axis(self.dim, i) for i in axes]))
+                       for r, axes in groups.items()]
+        fiber = [i for i in range(self.dim) if i != theta_index]
+        stable, neutral, unstable = ([i for i in fiber if np.sign(rates[i]) == sign]
+                                     for sign in (-1, 0, 1))
+        up = sorted(set(rates[unstable]), reverse=True)
+        self.rate_top, self.rate_second = up[0], (up[1] if len(up) > 1 else None)
+        self.rate_slow_stable = -max(rates[stable])
+        self._leaves = {
+            "StrongUnstable": [i for i in unstable if rates[i] == up[0]],
+            "Unstable": unstable,
+            "Stable": stable,
+            "CenterStable": stable + [theta_index] + neutral,
+        }
+        self.split = (len(stable), 1 + len(neutral), len(unstable),
+                      len(self._leaves["StrongUnstable"]))
+
+    @property
+    def exact_exponents(self):
+        return sorted((float(r) for r in self.rates), reverse=True)
+
+    def _kind_indices(self, kind):
+        """The chart axis each leaf parameter moves, in leaf-parameter order."""
+        return _leaf_entry(self._leaves, kind)
 
     def flow(self, c, t):
         out = c * np.exp(np.multiply.outer(t, self.rates))
@@ -339,17 +392,22 @@ class _AxisLeaves:
         return D
 
     def leaf_dirs(self, kind):
-        return np.column_stack([_axis(self.dim, i) for i in self._leaf_axes(kind)])
+        return np.column_stack([_axis(self.dim, i) for i in self._kind_indices(kind)])
 
     def leaf_rates(self, kind):
         """Growth rate of each leaf parameter, in leaf-parameter order."""
-        return self.rates[self._leaf_axes(kind)]
+        return self.rates[self._kind_indices(kind)]
 
 
-class _NilPairSuspension(_AxisLeaves):
-    kind = "BorelSmale"
+class _PairWeights(_AxisLeaves):
+    """The weights of the Heisenberg pair, shared by its suspension and the
+    perturbed variant: the x, y and z pairs grow at (a, -a), (b, -b) and
+    (a+b, -(a+b)) times log lam.  ``eps_pert`` is the amplitude of the crossing
+    shear, 0 on the unsheared suspension."""
+
     quotiented = True
     chart_bound = 1e300
+    qni_order = 2
     equidistribution_freqs = (
         (1, 0, 0, 0, 0, 0),
         (0, 1, 0, 0, 0, 0),
@@ -358,14 +416,21 @@ class _NilPairSuspension(_AxisLeaves):
         (0, 1, 0, 1, 0, 0),
     )
 
-    def __init__(self, a, b, lam):
+    def __init__(self, a, b, lam, eps_pert=0.0):
+        if not all(isinstance(v, numbers.Real) and math.isfinite(v)
+                   for v in (a, b, lam, eps_pert)):
+            raise InvalidParams("a, b, lam and eps_pert must be finite numbers")
         if int(a) != a or int(b) != b or a == 0 or b == 0:
             raise InvalidParams("weights a, b must be nonzero integers")
         if a == -b:
             raise InvalidParams("a = -b collapses the centre weight to zero")
         if lam <= 1.0:
             raise InvalidParams("base unit lam must exceed 1")
-        self.a, self.b, self.lam = int(a), int(b), float(lam)
+        if eps_pert < 0:
+            raise InvalidParams("perturbation amplitude must be nonnegative")
+        if eps_pert >= 1.0 / (4.0 * math.pi):
+            raise InvalidParams("perturbation too large: requires eps_pert < 1/(4 pi)")
+        self.a, self.b, self.lam, self.eps = int(a), int(b), float(lam), float(eps_pert)
         self.log_lam = math.log(lam)
         w = np.empty(7)
         w[_X1], w[_X2] = a, -a
@@ -373,30 +438,21 @@ class _NilPairSuspension(_AxisLeaves):
         w[_Z1], w[_Z2] = a + b, -(a + b)
         w[_TH] = 0.0
         self.weights = w  # integer weights per chart axis
-        self.rates = w * self.log_lam
-        self.dim = 7
-        self.theta_index = _TH
-        order = np.argsort(w[:7])[::-1]
-        groups = {}
-        for i in order:
-            groups.setdefault(w[i], []).append(i)
-        self.blocks = [
-            Block(wt * self.log_lam, np.column_stack([_axis(7, i) for i in idxs]))
-            for wt, idxs in sorted(groups.items(), reverse=True)
-        ]
-        self.exact_exponents = sorted((float(r) for r in self.rates), reverse=True)
-        pos = sorted({wt for wt in w[:6] if wt > 0}, reverse=True)
-        neg = sorted({-wt for wt in w[:6] if wt < 0})
-        self.rate_top = pos[0] * self.log_lam
-        self.rate_second = pos[1] * self.log_lam if len(pos) > 1 else None
-        self.rate_slow_stable = neg[0] * self.log_lam
-        n_u = int(np.sum(w[:6] > 0))
-        n_s = int(np.sum(w[:6] < 0))
-        n_uu = int(np.sum(w[:6] == max(w[:6])))
-        self.split = (n_s, 1, n_u, n_uu)
-        self.qni_order = 2
-        self._unstable_idx = [i for i in range(6) if w[i] > 0]
-        self._stable_idx = [i for i in range(6) if w[i] < 0]
+        self._declare(w * self.log_lam, _TH)
+
+    def section_coords(self, c):
+        """Ring-lattice coordinates of the three pairs at section level, per
+        row of a reduced (N, 7) batch."""
+        w = c[:, :6] * np.exp(self.rates[:6] * -c[:, _TH, None])
+        basis_inv = np.repeat(RING_BASIS_INV[None], len(c), axis=0)
+        n = np.empty((len(c), 6))
+        for k, pair in enumerate((_X, _Y, _Z)):
+            n[:, 2 * k : 2 * k + 2] = matvec(basis_inv, w[:, pair])
+        return n
+
+
+class _NilPairSuspension(_PairWeights):
+    kind = "BorelSmale"
 
     # quotient ----------------------------------------------------------
     def reduce(self, c):
@@ -413,49 +469,23 @@ class _NilPairSuspension(_AxisLeaves):
         out[..., _TH] = theta[..., 0]
         return out
 
-    def section_coords(self, c):
-        """Ring-lattice coordinates of the three pairs at section level, per
-        row of a reduced (N, 7) batch."""
-        w = c[:, :6] * np.exp(self.rates[:6] * -c[:, _TH, None])
-        basis_inv = np.repeat(RING_BASIS_INV[None], len(c), axis=0)
-        n = np.empty((len(c), 6))
-        for k, pair in enumerate((_X, _Y, _Z)):
-            n[:, 2 * k : 2 * k + 2] = matvec(basis_inv, w[:, pair])
-        return n
-
     # leaves -------------------------------------------------------------
-    def _kind_indices(self, kind):
-        w = self.weights
-        top = max(w[:6])
-        if kind == "StrongUnstable":
-            return [i for i in range(6) if w[i] == top]
-        if kind == "Unstable":
-            return self._unstable_idx
-        if kind == "Stable":
-            return self._stable_idx
-        if kind == "CenterStable":
-            return self._stable_idx  # theta handled separately
-        raise InvalidParams(f"unknown leaf kind {kind!r}")
-
-    def _leaf_axes(self, kind):
-        idxs = self._kind_indices(kind)
-        return idxs + [_TH] if kind == "CenterStable" else idxs
-
     def group_displacement(self, a, b):
         """The group element b . a^-1 carrying chart point a to b (fibers only)."""
         return _pair_mult(b[..., :6], _pair_inverse(a[..., :6]))
 
     def stable_params_between(self, a, b):
-        return self.group_displacement(a, b)[self._stable_idx]
+        return self.group_displacement(a, b)[self._kind_indices("Stable")]
 
     def leaf_translate(self, c, kind, params):
         """Left-translate by the subgroup element with the given coordinates
         (on a point, or on rows with params shared or per row)."""
         params = np.atleast_1d(np.asarray(params, dtype=float))
-        if kind == "CenterStable":
-            c, params = self.flow(c, params[..., -1]), params[..., :-1]
+        axes = self._kind_indices(kind)
+        if kind == "CenterStable":  # the clock parameter comes last
+            c, params, axes = self.flow(c, params[..., -1]), params[..., :-1], axes[:-1]
         l = np.zeros(params.shape[:-1] + (6,))
-        l[..., self._kind_indices(kind)] = params
+        l[..., axes] = params
         out = c.copy()
         out[..., :6] = _pair_mult(l, c[..., :6])
         return out
@@ -479,15 +509,15 @@ class _NilPairSuspension(_AxisLeaves):
         # unstable params ordered per _kind_indices("Unstable")
         w_params = {_X1: w_x1, _Y2: w_y2, _Z1: w_z1}
         cs_params = {_X2: c_x2, _Y1: c_y1, _Z2: c_z2}
-        u = np.array([w_params[i] for i in self._unstable_idx])
-        cs = np.array([cs_params[i] for i in self._stable_idx] + [dtheta])
+        u = np.array([w_params[i] for i in self._kind_indices("Unstable")])
+        cs = np.array([cs_params[i] for i in self._kind_indices("Stable")] + [dtheta])
         return u, cs
 
     def unstable_shift(self, c, u):
         return self.leaf_translate(c, "StrongUnstable", np.asarray(u, dtype=float)[..., None])
 
 
-class _ToralPerturbedSuspension(_AxisLeaves):
+class _ToralPerturbedSuspension(_PairWeights):
     """Abelianised variant with lattice-periodic shears on the torus fibers.
 
     Each sheared pair moves in its ring-lattice coordinates,
@@ -500,33 +530,8 @@ class _ToralPerturbedSuspension(_AxisLeaves):
     """
 
     kind = "BorelSmalePerturbed"
-    quotiented = True
-    chart_bound = 1e300
-    exact_exponents = None
+    exact_exponents = None  # measured: no declared exponents
     sheared_pairs = ((_Z1, _Z2), (_Y1, _Y2))
-    equidistribution_freqs = _NilPairSuspension.equidistribution_freqs
-
-    def __init__(self, a, b, lam, eps_pert):
-        base = _NilPairSuspension(a, b, lam)
-        if eps_pert < 0:
-            raise InvalidParams("perturbation amplitude must be nonnegative")
-        if eps_pert >= 1.0 / (4.0 * math.pi):
-            raise InvalidParams("perturbation too large: requires eps_pert < 1/(4 pi)")
-        self.a, self.b, self.lam = base.a, base.b, base.lam
-        self.log_lam = base.log_lam
-        self.eps = float(eps_pert)
-        self.weights = base.weights
-        self.rates = base.rates
-        self.dim = 7
-        self.theta_index = _TH
-        self.blocks = base.blocks  # reference axes only; true splitting is measured
-        self.split = base.split
-        self.rate_top = base.rate_top
-        self.rate_second = base.rate_second
-        self.rate_slow_stable = base.rate_slow_stable
-        self.qni_order = 2
-        self._unstable_idx = base._unstable_idx
-        self._stable_idx = base._stable_idx
 
     # a point is a one-row batch of the rows flow
     def _shear(self, pairs, sign):
@@ -603,19 +608,15 @@ class _ToralPerturbedSuspension(_AxisLeaves):
         return out
 
     # leaves: linear in the x/y pairs, curved in the z pair --------------
-    section_coords = _NilPairSuspension.section_coords
-    _kind_indices = _NilPairSuspension._kind_indices
-    _leaf_axes = _NilPairSuspension._leaf_axes
-
     def leaf_translate(self, c, kind, params):
         """Only the fast block is a straight line here; other leaves are
         curved in the fiber pair and must go through leaf charts."""
+        idxs = self._kind_indices(kind)
         if kind != "StrongUnstable":
             raise Unsupported(
                 "perturbed leaves are curved; build a leaf chart instead"
             )
         params = np.atleast_1d(np.asarray(params, dtype=float))
-        idxs = self._kind_indices(kind)
         out = c.copy()
         out[idxs] += params
         return out
@@ -664,6 +665,13 @@ def _logm_posreal(g):
     return np.asarray(L).real
 
 
+def _unit(i, j):
+    """The 3x3 matrix unit E_ij."""
+    m = np.zeros((3, 3))
+    m[i, j] = 1.0
+    return m
+
+
 class _MatrixGroupModel(_AxisLeaves):
     """Common machinery for ASL2Model and SL3Model.
 
@@ -674,9 +682,20 @@ class _MatrixGroupModel(_AxisLeaves):
     """
 
     quotiented = False
+    chart_bound = 1e8
+    qni_order = 1
+    n = 3  # matrix size
 
-    # subclasses define: n (matrix size), basis (list of matrices), rates,
-    # H_flow, theta_index (clock slot), perm (weight-sorting permutation)
+    # subclasses define: basis (one matrix per chart axis, None at the
+    # clock), H_flow, perm (weight-sorting permutation), and declare rates
+
+    def _declare(self, rates, theta_index):
+        super()._declare(rates, theta_index)
+        # the matrix entry each unipotent leaf parameter moves: a
+        # center-stable leaf moves the stable entries, then its Cartan axes
+        self._slots = {kind: [divmod(int(np.argmax(self.basis[i])), self.n)
+                              for i in axes if self.rates[i] != 0]
+                       for kind, axes in self._leaves.items()}
 
     def flow(self, c, t):
         out = super().flow(c, t)
@@ -728,19 +747,9 @@ class _MatrixGroupModel(_AxisLeaves):
         return coords
 
     # leaves --------------------------------------------------------------
-    def _entry_slots(self, kind):
-        """Matrix-entry slots (i, j) parameterising the leaf, weight-descending."""
-        if kind == "StrongUnstable":
-            return self.uu_slots
-        if kind == "Unstable":
-            return self.u_slots
-        if kind in ("Stable", "CenterStable"):
-            return self.s_slots
-        raise InvalidParams(f"unknown leaf kind {kind!r}")
-
     def unipotent(self, kind, params):
         n = np.eye(self.n)
-        for p, (i, j) in zip(params, self._entry_slots(kind)):
+        for p, (i, j) in zip(params, _leaf_entry(self._slots, kind)):
             n[i, j] += p
         return n
 
@@ -757,13 +766,10 @@ class _MatrixGroupModel(_AxisLeaves):
 
         def evaluate(params):
             params = np.atleast_1d(np.asarray(params, dtype=float))
+            z = self.unipotent(kind, params)
             if kind == "CenterStable":
-                extra = params[len(self.s_slots):]
-                n = self.unipotent("Stable", params[: len(self.s_slots)])
-                z = n @ self._cartan_matrix(extra) @ g
-            else:
-                z = self.unipotent(kind, params) @ g
-            return self.coords_from_matrix(z, sigma_guess=sigma0)
+                z = z @ self._cartan_matrix(params[len(self._slots[kind]):])
+            return self.coords_from_matrix(z @ g, sigma_guess=sigma0)
 
         return evaluate
 
@@ -773,20 +779,10 @@ class _MatrixGroupModel(_AxisLeaves):
             h = h + extra[1] * self.H_neutral
         return np.diag(np.exp(np.diag(h)))  # both generators are diagonal
 
-    def _leaf_axes(self, kind):
-        """The basis matrix of each entry slot, then the Cartan directions."""
-        axes = [next(k for k, B in enumerate(self.basis) if B is not None and B[slot] == 1.0)
-                for slot in self._entry_slots(kind)]
-        if kind == "CenterStable":
-            axes.append(self.theta_index)
-            if hasattr(self, "H_neutral_index"):
-                axes.append(self.H_neutral_index)
-        return axes
-
     def stable_params_between(self, a, b):
         """Entries of g(b) g(a)^-1 at the stable slots."""
         M = self.matrix_from_coords(b) @ np.linalg.inv(self.matrix_from_coords(a))
-        return np.array([M[slot] for slot in self.s_slots])
+        return np.array([M[slot] for slot in self._slots["Stable"]])
 
     def cs_u_factorize(self, x, xp):
         """Weight-sorted LU split  g(x) g(xp)^-1 = (lower . cartan) (unit upper)."""
@@ -804,7 +800,7 @@ class _MatrixGroupModel(_AxisLeaves):
             for j in range(i + 1, n):
                 U[i, j] = (Mp[i, j] - L[i, :i] @ U[:i, j]) / L[i, i]
         Uq = P.T @ U @ P
-        u_params = np.array([Uq[i, j] for (i, j) in self.u_slots])
+        u_params = np.array([Uq[i, j] for (i, j) in self._slots["Unstable"]])
         Lq = P.T @ L @ P
         cs_info = (Lq, Uq)
         return u_params, cs_info
@@ -812,122 +808,60 @@ class _MatrixGroupModel(_AxisLeaves):
 
 class _ASL2Model(_MatrixGroupModel):
     kind = "ASL2Model"
-    chart_bound = 1e8
-    qni_order = 1
 
     def __init__(self):
-        self.n = 3
-
-        def unit(i, j):
-            m = np.zeros((3, 3))
-            m[i, j] = 1.0
-            return m
-
         # coords: (b, x, sigma, y, c) with weights (2, 1, 0, -1, -2)
-        self.basis = [unit(0, 1), unit(0, 2), None, unit(1, 2), unit(1, 0)]
+        self.basis = [_unit(0, 1), _unit(0, 2), None, _unit(1, 2), _unit(1, 0)]
         self.H_flow = np.diag([1.0, -1.0, 0.0])
-        self.theta_index = 2
-        self.rates = np.array([2.0, 1.0, 0.0, -1.0, -2.0])
-        self.dim = 5
-        self.blocks = [Block(self.rates[i], _axis(5, i).reshape(5, 1)) for i in (0, 1, 2, 3, 4)]
-        self.exact_exponents = [2.0, 1.0, 0.0, -1.0, -2.0]
-        self.split = (2, 1, 2, 1)
-        self.rate_top = 2.0
-        self.rate_second = 1.0
-        self.rate_slow_stable = 1.0
-        self.uu_slots = [(0, 1)]
-        self.u_slots = [(0, 1), (0, 2)]
-        self.s_slots = [(1, 2), (1, 0)]  # weights -1, -2
         self.perm = [0, 2, 1]  # weight-descending vertex order
-        self.weights = self.rates
-
+        self._declare([2.0, 1.0, 0.0, -1.0, -2.0], theta_index=2)
 
 
 class _SL3Model(_MatrixGroupModel):
     kind = "SL3Model"
-    chart_bound = 1e8
-    qni_order = 1
 
     def __init__(self):
-        self.n = 3
-
-        def unit(i, j):
-            m = np.zeros((3, 3))
-            m[i, j] = 1.0
-            return m
-
         # coords: (z, y, x, h_neutral, sigma, s1, s3, s2)
         # weights (5, 4, 1, 0, 0, -1, -4, -5) under H_flow = diag(2, 1, -3)
         hb = np.diag([4.0, -5.0, 1.0])
-        hb = hb / np.linalg.norm(hb)
-        self.basis = [
-            unit(0, 2),
-            unit(1, 2),
-            unit(0, 1),
-            hb,
-            None,
-            unit(1, 0),
-            unit(2, 1),
-            unit(2, 0),
-        ]
+        self.H_neutral = hb / np.linalg.norm(hb)
+        self.basis = [_unit(0, 2), _unit(1, 2), _unit(0, 1), self.H_neutral, None,
+                      _unit(1, 0), _unit(2, 1), _unit(2, 0)]
         self.H_flow = np.diag([2.0, 1.0, -3.0])
-        self.theta_index = 4
-        self.H_neutral_index = 3
-        self.H_neutral = hb
-        self.rates = np.array([5.0, 4.0, 1.0, 0.0, 0.0, -1.0, -4.0, -5.0])
-        self.dim = 8
-        self.blocks = [
-            Block(5.0, _axis(8, 0).reshape(8, 1)),
-            Block(4.0, _axis(8, 1).reshape(8, 1)),
-            Block(1.0, _axis(8, 2).reshape(8, 1)),
-            Block(0.0, np.column_stack([_axis(8, 3), _axis(8, 4)])),
-            Block(-1.0, _axis(8, 5).reshape(8, 1)),
-            Block(-4.0, _axis(8, 6).reshape(8, 1)),
-            Block(-5.0, _axis(8, 7).reshape(8, 1)),
-        ]
-        self.exact_exponents = [5.0, 4.0, 1.0, 0.0, 0.0, -1.0, -4.0, -5.0]
-        self.split = (3, 2, 3, 1)
-        self.rate_top = 5.0
-        self.rate_second = 4.0
-        self.rate_slow_stable = 1.0
-        self.uu_slots = [(0, 2)]
-        self.u_slots = [(0, 2), (1, 2), (0, 1)]  # weights 5, 4, 1
-        self.s_slots = [(1, 0), (2, 1), (2, 0)]  # weights -1, -4, -5
         self.perm = [0, 1, 2]
-        self.weights = self.rates
-
+        self._declare([5.0, 4.0, 1.0, 0.0, 0.0, -1.0, -4.0, -5.0], theta_index=4)
 
 
 # ---------------------------------------------------------------------------
 # public constructors and operations
 
 
+#: every model kind: its class and its parameters, with their defaults
+MODELS = {
+    "CatSuspension": (_CatSuspension, {"matrix": ((2, 1), (1, 1))}),
+    "BorelSmale": (_NilPairSuspension, {"a": 3, "b": -2, "lam": LAMBDA_UNIT}),
+    "BorelSmalePerturbed": (
+        _ToralPerturbedSuspension, {"a": 3, "b": -2, "lam": LAMBDA_UNIT, "eps_pert": 0.01}
+    ),
+    "ASL2Model": (_ASL2Model, {}),
+    "SL3Model": (_SL3Model, {}),
+}
+
+
 def _build_model(spec: SystemSpec):
-    p = dict(spec.params)
-    if spec.kind == "CatSuspension":
-        matrix = p.pop("matrix", ((2, 1), (1, 1)))
-        model = _CatSuspension(matrix)
-    elif spec.kind == "BorelSmale":
-        model = _NilPairSuspension(p.pop("a", 3), p.pop("b", -2), p.pop("lam", LAMBDA_UNIT))
-    elif spec.kind == "BorelSmalePerturbed":
-        model = _ToralPerturbedSuspension(
-            p.pop("a", 3), p.pop("b", -2), p.pop("lam", LAMBDA_UNIT), p.pop("eps_pert", 0.01)
-        )
-    elif spec.kind == "ASL2Model":
-        model = _ASL2Model()
-    elif spec.kind == "SL3Model":
-        model = _SL3Model()
-    else:
+    if spec.kind not in MODELS:
         raise InvalidParams(f"unknown system kind {spec.kind!r}")
-    if p:
-        raise InvalidParams(f"unknown parameters for {spec.kind}: {sorted(p)}")
-    return model
+    cls, defaults = MODELS[spec.kind]
+    unknown = sorted(set(spec.params) - set(defaults))
+    if unknown:
+        raise InvalidParams(f"unknown parameters for {spec.kind}: {unknown}")
+    return cls(**{**defaults, **spec.params})
 
 
 def make_system(spec: SystemSpec) -> System:
     """Instantiate a system; exact exponents are populated for linear models."""
     model = _build_model(spec)
-    exact = getattr(model, "exact_exponents", None)
+    exact = model.exact_exponents
     exact = None if exact is None else sorted((float(e) for e in exact), reverse=True)
     return System(
         kind=spec.kind,

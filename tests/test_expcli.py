@@ -62,7 +62,7 @@ def test_duplicate_key_rejected():
 
 def _random_config(gen):
     experiment = str(gen.choice(["lyapunov", "stopping", "equidistribution"]))
-    kind = str(gen.choice(["BorelSmale", "CatSuspension", "BorelSmalePerturbed"]))
+    kind = str(gen.choice(sorted(S.MODELS)))
     params = {}
     if experiment == "lyapunov":
         params = {"T": float(np.round(gen.uniform(100, 500), 6)), "dt_qr": 1.0}
@@ -77,10 +77,14 @@ def _random_config(gen):
     else:
         params = {"T": float(np.round(gen.uniform(100, 500), 6)), "dt": 0.5}
     sys_params = {}
-    if kind in ("BorelSmale", "BorelSmalePerturbed"):
-        sys_params = {"a": 3, "b": -2, "lam": float(np.round(gen.uniform(2.1, 3.0), 6))}
+    if kind == "CatSuspension":
+        m = [int(v) for v in gen.integers(-9, 10, 4)]
+        sys_params = {"matrix": ((m[0], m[1]), (m[2], m[3]))}
+    elif kind in ("BorelSmale", "BorelSmalePerturbed"):
+        a, b = (int(v) for v in gen.choice([-3, -2, -1, 1, 2, 3], 2))
+        sys_params = {"a": a, "b": b, "lam": float(np.round(gen.uniform(2.1, 3.0), 6))}
         if kind == "BorelSmalePerturbed":
-            sys_params["eps_pert"] = 0.01
+            sys_params["eps_pert"] = float(np.round(gen.uniform(0.0, 0.07), 6))
     return E.ExperimentConfig(
         experiment=experiment,
         system=S.SystemSpec(kind, sys_params),
@@ -92,8 +96,10 @@ def _random_config(gen):
 
 def test_serialize_parse_round_trip_hundred_random_configs():
     gen = np.random.default_rng(7)
+    drawn = set()
     for _ in range(100):
         cfg = _random_config(gen)
+        drawn.add(cfg.system.kind)
         text = E.serialize_config(cfg)
         back = E.parse_config(text)
         assert back.experiment == cfg.experiment
@@ -101,6 +107,61 @@ def test_serialize_parse_round_trip_hundred_random_configs():
         assert back.system == cfg.system
         for key, val in cfg.params.items():
             assert back.params.get(key) == val
+    assert drawn == set(S.MODELS)
+
+
+SYSTEM_VALUE = """
+experiment = lyapunov
+[system]
+kind = {kind}
+{line}
+[params]
+T = 150
+"""
+
+
+@pytest.mark.parametrize("kind, line", [
+    ("CatSuspension", "matrix = 1"),
+    ("CatSuspension", "matrix = 2, 1, 1"),
+    ("CatSuspension", "matrix = 2, 1, 1, 1, 0"),
+    ("CatSuspension", "matrix = 2, 1, true, 1"),
+    ("BorelSmale", "a = foo"),
+    ("BorelSmale", "a = true"),
+    ("BorelSmale", "b = 1, 2"),
+    ("BorelSmale", "lambda = x"),
+    ("BorelSmalePerturbed", "eps_pert = 1, 2"),
+])
+def test_ill_typed_system_values_are_schema_errors(tmp_path, capsys, kind, line):
+    text = SYSTEM_VALUE.format(kind=kind, line=line)
+    key = line.split("=")[0].strip()
+    # collected with the other problems of the config
+    with pytest.raises(SchemaError) as err:
+        E.parse_config(text + "unknown_param = 1\n")
+    assert len(err.value.problems) == 2
+    assert any(p.startswith(f"[system] {key!r} must be") for p in err.value.problems)
+    cfg = tmp_path / "typed.cfg"
+    cfg.write_text(text)
+    assert E.main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == "SchemaError"
+
+
+@pytest.mark.parametrize("kind, line", [
+    ("BorelSmale", "a = inf"),
+    ("BorelSmale", "a = nan"),
+    ("BorelSmale", "lambda = nan"),
+    ("BorelSmale", "lambda = inf"),
+    ("BorelSmalePerturbed", "eps_pert = nan"),
+    ("CatSuspension", "matrix = 2, 1, 1, inf"),
+])
+def test_non_finite_system_values_exit_with_invalid_params(tmp_path, capsys, kind, line):
+    cfg = tmp_path / "nonfinite.cfg"
+    cfg.write_text(SYSTEM_VALUE.format(kind=kind, line=line))
+    assert E.main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == "InvalidParams"
 
 
 def test_run_payload_is_byte_deterministic():

@@ -80,6 +80,139 @@ def test_exponent_count_equals_dim():
 
 
 # ---------------------------------------------------------------------------
+# declarations, pinned: blocks, split, rates, leaf tables and matrix slots
+
+_BS_LEAVES = {"StrongUnstable": [0], "Unstable": [0, 3, 4], "Stable": [1, 2, 5],
+              "CenterStable": [1, 2, 5, 6]}
+_BS_BLOCKS = [(3, [0]), (2, [3]), (1, [4]), (0, [6]), (-1, [5]), (-2, [2]), (-3, [1])]
+
+#: per axis model: the unit its rates are integers of; each block's rate in
+#: units and its chart axes (a set where rates tie: the order inside a tied
+#: block follows np.argsort, which is not a stable sort); the split; the top,
+#: second and slow-stable rates in units; the chart axis of each leaf
+#: parameter; and the matrix entry of each unipotent leaf parameter
+DECLARED = {
+    "borel_smale": ("BorelSmale", {}, _BS_BLOCKS, (3, 1, 3, 1), (3, 2, 1), _BS_LEAVES, None),
+    "perturbed": ("BorelSmalePerturbed", {}, _BS_BLOCKS, (3, 1, 3, 1), (3, 2, 1), _BS_LEAVES,
+                  None),
+    "borel_smale_1_1": (
+        "BorelSmale", {"a": 1, "b": 1},
+        [(2, [4]), (1, {0, 2}), (0, [6]), (-1, {1, 3}), (-2, [5])], (3, 1, 3, 1), (2, 1, 1),
+        {"StrongUnstable": [4], "Unstable": [0, 2, 4], "Stable": [1, 3, 5],
+         "CenterStable": [1, 3, 5, 6]}, None),
+    "borel_smale_2_-1": (
+        "BorelSmale", {"a": 2, "b": -1},
+        [(2, [0]), (1, {3, 4}), (0, [6]), (-1, {2, 5}), (-2, [1])], (3, 1, 3, 1), (2, 1, 1),
+        _BS_LEAVES, None),
+    "asl2": (
+        "ASL2Model", {}, [(2, [0]), (1, [1]), (0, [2]), (-1, [3]), (-2, [4])], (2, 1, 2, 1),
+        (2, 1, 1),
+        {"StrongUnstable": [0], "Unstable": [0, 1], "Stable": [3, 4], "CenterStable": [3, 4, 2]},
+        {"StrongUnstable": [(0, 1)], "Unstable": [(0, 1), (0, 2)], "Stable": [(1, 2), (1, 0)]}),
+    "sl3": (
+        "SL3Model", {},
+        [(5, [0]), (4, [1]), (1, [2]), (0, {3, 4}), (-1, [5]), (-4, [6]), (-5, [7])],
+        (3, 2, 3, 1), (5, 4, 1),
+        {"StrongUnstable": [0], "Unstable": [0, 1, 2], "Stable": [5, 6, 7],
+         "CenterStable": [5, 6, 7, 4, 3]},
+        {"StrongUnstable": [(0, 2)], "Unstable": [(0, 2), (1, 2), (0, 1)],
+         "Stable": [(1, 0), (2, 1), (2, 0)]}),
+}
+
+
+def _unipotent_slots(model, kind, k):
+    """The matrix entry of each of k leaf parameters, read off `unipotent`."""
+    n = model.unipotent(kind, np.arange(1.0, k + 1)) - np.eye(model.n)
+    return [tuple(int(i) for i in np.argwhere(n == p)[0]) for p in range(1, k + 1)]
+
+
+@pytest.mark.parametrize("case", sorted(DECLARED))
+def test_axis_model_declarations_are_pinned(case):
+    kind, params, blocks, split, (top, second, slow), leaves, slots = DECLARED[case]
+    system = make(kind, **params)
+    model = system.model
+    unit = math.log(params.get("lam", S.LAMBDA_UNIT)) if "Borel" in kind else 1.0
+    rate_of = {}
+    assert len(model.blocks) == len(blocks)
+    for block, (rate, axes) in zip(model.blocks, blocks):
+        assert block.rate == rate * unit
+        cols = [int(np.argmax(c)) for c in block.basis.T]
+        assert (set(cols) if isinstance(axes, set) else cols) == axes
+        assert np.array_equal(block.basis, np.eye(system.dim)[:, cols])
+        rate_of.update({i: block.rate for i in cols})
+    assert system.flow_dim_split == split
+    assert (model.rate_top, model.rate_second, model.rate_slow_stable) == (
+        top * unit, second * unit, slow * unit)
+    if kind == "BorelSmalePerturbed":
+        assert system.exact_exponents is None
+    else:
+        assert system.exact_exponents == sorted(rate_of.values(), reverse=True)
+    for leaf, axes in leaves.items():
+        assert np.array_equal(model.leaf_dirs(leaf), np.eye(system.dim)[:, axes])
+        assert list(model.leaf_rates(leaf)) == [rate_of[i] for i in axes]
+    if slots is not None:  # a center-stable leaf moves the stable entries first
+        for leaf, want in {**slots, "CenterStable": slots["Stable"]}.items():
+            assert _unipotent_slots(model, leaf, len(want)) == want
+
+
+def test_cat_declarations_are_pinned():
+    system = make("CatSuspension")
+    model = system.model
+    mu = (3.0 + math.sqrt(5.0)) / 2.0
+    e_plus = np.array([mu - 1.0, 1.0, 0.0]) / math.hypot(mu - 1.0, 1.0)
+    e_minus = np.array([-1.0, mu - 1.0, 0.0]) / math.hypot(mu - 1.0, 1.0)
+    log_mu = model.log_mu
+    assert log_mu == pytest.approx(math.log(mu), abs=1e-15)
+    assert [b.rate for b in model.blocks] == [log_mu, 0.0, -log_mu]
+    for block, e in zip(model.blocks, (e_plus, np.eye(3)[2], e_minus)):
+        assert block.basis.shape == (3, 1)
+        assert np.allclose(np.abs(block.basis[:, 0]), np.abs(e), atol=1e-15)
+    assert system.flow_dim_split == (1, 1, 1, 1)
+    assert (model.rate_top, model.rate_second, model.rate_slow_stable) == (log_mu, None, log_mu)
+    assert system.exact_exponents == [log_mu, 0.0, -log_mu]
+    col = [b.basis for b in model.blocks]
+    for leaf, idx in (("StrongUnstable", [0]), ("Unstable", [0]), ("Stable", [2]),
+                      ("CenterStable", [2, 1])):
+        assert np.array_equal(model.leaf_dirs(leaf), np.column_stack([col[i] for i in idx]))
+        assert list(model.leaf_rates(leaf)) == [model.blocks[i].rate for i in idx]
+
+
+def test_perturbed_model_declares_no_closed_form():
+    # the pipelines dispatch on these: the perturbed leaves are measured
+    model = make("BorelSmalePerturbed").model
+    for name in ("cs_u_factorize", "group_displacement", "stable_params_between",
+                 "leaf_evaluator"):
+        assert not hasattr(model, name)
+    assert model.exact_exponents is None
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_unknown_leaf_kind_is_invalid_params_on_every_model(kind):
+    system = make(kind)
+    x = seeded_point(system, 3)
+    with pytest.raises(InvalidParams, match="unknown leaf kind"):
+        S.leaf_translate(system, x, "Bogus", [0.1])
+    with pytest.raises(InvalidParams, match="unknown leaf kind"):
+        S.leaf_dimension(system, "Bogus")
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("BorelSmale", {"a": math.inf}),
+    ("BorelSmale", {"a": math.nan}),
+    ("BorelSmale", {"b": -math.inf}),
+    ("BorelSmale", {"lam": math.nan}),
+    ("BorelSmale", {"lam": math.inf}),
+    ("BorelSmalePerturbed", {"a": math.nan}),
+    ("BorelSmalePerturbed", {"lam": math.inf}),
+    ("BorelSmalePerturbed", {"eps_pert": math.nan}),
+    ("CatSuspension", {"matrix": ((2, 1), (1, math.inf))}),
+])
+def test_non_finite_model_parameters_are_invalid(kind, params):
+    with pytest.raises(InvalidParams):
+        make(kind, **params)
+
+
+# ---------------------------------------------------------------------------
 # flow group law and cocycle identity
 
 
