@@ -222,7 +222,7 @@ def parse_config(text: str) -> ExperimentConfig:
     if kind is None:
         problems.append("missing required key 'kind' in [system]")
         sys_schema = {}
-    elif kind not in _SYSTEM_SCHEMAS:
+    elif not isinstance(kind, str) or kind not in _SYSTEM_SCHEMAS:
         problems.append(
             f"unknown system kind {kind!r}" + _suggest(str(kind), _SYSTEM_SCHEMAS)
         )
@@ -242,7 +242,7 @@ def parse_config(text: str) -> ExperimentConfig:
                             + ("a number" if n == 1 else f"a list of {n} numbers"))
 
     params = dict(sections["params"])
-    if experiment in _PARAM_SCHEMAS:
+    if experiment in EXPERIMENTS:  # a list value is no key of the schemas
         schema = _PARAM_SCHEMAS[experiment]
         for key in params:
             if key not in schema:
@@ -647,6 +647,7 @@ def main(argv=None) -> int:
                 print(_error_json(exc), file=sys.stderr)
                 return 2
             if args.command == "validate":
+                sysmod.make_system(config.system)  # the model checks its own values
                 print(json.dumps({"valid": True,
                                   "experiment": config.experiment}, sort_keys=True))
                 return 0

@@ -420,7 +420,7 @@ def build_transfer(system: System, q1: Point, u: float, ell: float,
         cs_resid = np.asarray(cs_params, dtype=float)
 
     # slot of the second-line direction among the unstable leaf parameters
-    e2_slot = int(np.argsort(model.leaf_rates("Unstable"))[::-1][1])
+    e2_slot = int(np.argsort(model.leaf_rates("Unstable"), kind="stable")[::-1][1])
     # growth profile of the second line along the orbit of x
     beta = apriori_beta(system)
     horizon = ell / 2.0 + beta * ell + 2.0

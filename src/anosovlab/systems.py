@@ -54,6 +54,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -215,10 +216,13 @@ class _CatSuspension:
     equidistribution_freqs = ((1, 0), (0, 1), (1, 1), (1, -1), (2, 1))
 
     def __init__(self, matrix):
-        A = np.asarray(matrix, dtype=float)
+        try:
+            A = np.asarray(matrix, dtype=float)
+        except OverflowError:  # an integer entry beyond the float range
+            raise InvalidParams("cat map matrix entries must be finite") from None
         if A.shape != (2, 2) or not np.all(np.isfinite(A)) or not np.allclose(A, np.round(A)):
             raise InvalidParams("cat map matrix must be 2x2 integer")
-        if abs(round(np.linalg.det(A)) - 1) > 0:
+        if not abs(np.linalg.det(A) - 1) < 0.5:  # rounds to 1; a non-finite one does not
             raise InvalidParams("cat map matrix must have determinant 1")
         if np.trace(A) <= 2:
             raise InvalidParams("cat map matrix must be hyperbolic with positive spectrum")
@@ -345,14 +349,16 @@ class _AxisLeaves:
 
     def _declare(self, rates, theta_index):
         """One block per distinct rate, descending, its axes in reversed
-        np.argsort order; the strong-unstable, unstable and stable leaves move
-        the fiber axes at the top, positive and negative rates, in index order;
+        stable np.argsort order (descending index inside a tie, on every host:
+        the default sort is unstable and picks its kernel by CPU); the
+        strong-unstable, unstable and stable leaves move the fiber axes at the
+        top, positive and negative rates, in index order;
         the center-stable leaf moves the stable axes, the clock, then the other
         zero-rate axes."""
         self.rates = rates = np.asarray(rates, dtype=float)
         self.dim, self.theta_index = len(rates), theta_index
         groups = {}
-        for i in np.argsort(rates)[::-1]:
+        for i in np.argsort(rates, kind="stable")[::-1]:
             groups.setdefault(rates[i], []).append(i)
         self.blocks = [Block(r, np.column_stack([_axis(self.dim, i) for i in axes]))
                        for r, axes in groups.items()]
@@ -417,7 +423,8 @@ class _PairWeights(_AxisLeaves):
     )
 
     def __init__(self, a, b, lam, eps_pert=0.0):
-        if not all(isinstance(v, numbers.Real) and math.isfinite(v)
+        # an integer beyond the float range is not finite here either
+        if not all(isinstance(v, numbers.Real) and abs(v) <= sys.float_info.max
                    for v in (a, b, lam, eps_pert)):
             raise InvalidParams("a, b, lam and eps_pert must be finite numbers")
         if int(a) != a or int(b) != b or a == 0 or b == 0:

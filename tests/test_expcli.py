@@ -1,13 +1,18 @@
 """Config parsing, schema validation, deterministic runs, plot emission, CLI."""
 
+import contextlib
 import hashlib
+import io
 import json
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anosovlab import expcli as E
 from anosovlab import systems as S
@@ -162,6 +167,30 @@ def test_non_finite_system_values_exit_with_invalid_params(tmp_path, capsys, kin
     captured = capsys.readouterr()
     assert captured.out == ""
     assert json.loads(captured.err)["error"] == "InvalidParams"
+
+
+@pytest.mark.parametrize("kind, line", [
+    ("BorelSmale", "a = 0"),
+    ("CatSuspension", "matrix = 1, 1, 0, 1"),
+    ("BorelSmale", "lambda = 0.9"),
+    ("BorelSmalePerturbed", "eps_pert = 0.5"),
+    ("BorelSmale", "a = nan"),
+    ("BorelSmale", "a = 1" + "0" * 400),  # beyond the float range
+    ("CatSuspension", "matrix = 1" + "0" * 400 + ", 1, 1, 1"),
+    ("CatSuspension", "matrix = 1e300, -1e300, 1e300, 1e300"),  # det overflows
+])
+def test_validate_rejects_what_run_rejects(tmp_path, capsys, kind, line):
+    # values only the model constructor checks: validate builds the model too
+    cfg = tmp_path / "model.cfg"
+    cfg.write_text(SYSTEM_VALUE.format(kind=kind, line=line))
+    ends = []
+    for argv in (["validate", str(cfg)], ["run", str(cfg), "--out", str(tmp_path / "o")]):
+        code = E.main(argv)
+        captured = capsys.readouterr()
+        ends.append((code, captured.out, captured.err))
+    assert ends[0] == ends[1]
+    assert ends[0][:2] == (3, "")
+    assert json.loads(ends[0][2])["error"] == "InvalidParams"
 
 
 def test_run_payload_is_byte_deterministic():
@@ -347,3 +376,66 @@ CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 def test_config_payload_matches_its_pinned_hash(name):
     report = E.run(E.parse_config((CONFIGS / f"{name}.cfg").read_text()), write=False)
     assert hashlib.sha256(E.payload_bytes(report)).hexdigest()[:16] == PAYLOAD_SHA256[name]
+
+
+# ---------------------------------------------------------------------------
+# validate fuzz: mutations of the shipped configs
+
+_CONFIG_LINES = [p.read_text().splitlines() for p in sorted(CONFIGS.glob("*.cfg"))]
+#: every key the schema knows, so that a drawn key may land in the wrong place
+_KNOWN_KEYS = sorted(E._TOP_KEYS | {"kind"}
+                     | {k for schema in E._SYSTEM_SCHEMAS.values() for k in schema}
+                     | {k for schema in E._PARAM_SCHEMAS.values() for k in schema})
+_scalar_text = st.one_of(
+    st.integers().map(str),
+    st.integers(-10**400, 10**400).map(str),  # past the float range too
+    st.floats().map(repr),
+    st.sampled_from(["true", "false", "inf", "-inf", "nan", "1e999", "", "[system]", "=", "#"]),
+    st.text(st.characters(codec="utf-8"), max_size=8),
+)
+_value_text = st.one_of(_scalar_text,
+                        st.lists(_scalar_text, min_size=2, max_size=5).map(", ".join))
+
+
+@st.composite
+def _mutated_config(draw):
+    lines = list(draw(st.sampled_from(_CONFIG_LINES)))
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, len(lines)))
+        op = draw(st.sampled_from(["drop", "duplicate", "swap", "value", "insert"]))
+        if op == "insert":  # a known key in any place, or an unknown one
+            key = draw(st.sampled_from(_KNOWN_KEYS)
+                       | st.text(st.characters(codec="utf-8"), min_size=1, max_size=8))
+            lines.insert(i, f"{key} = {draw(_value_text)}")
+            continue
+        if i == len(lines):
+            continue
+        if op == "drop":
+            del lines[i]
+        elif op == "duplicate":
+            lines.insert(i, lines[i])
+        elif op == "swap":
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+        elif "=" in lines[i]:
+            lines[i] = f"{lines[i].partition('=')[0]}= {draw(_value_text)}"
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=200)
+@given(text=_mutated_config())
+def test_validate_ends_every_mutated_config_in_a_documented_exit(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "fuzz.cfg"
+        cfg.write_text(text, encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = E.main(["validate", str(cfg)])
+    assert code in (0, 2, 3, 4)
+    if code == 0:
+        assert json.loads(out.getvalue())["valid"] is True
+    else:
+        # exactly one JSON object on one line, no traceback
+        assert out.getvalue() == ""
+        assert err.getvalue().count("\n") == 1
+        assert set(json.loads(err.getvalue())) == {"error", "message"}

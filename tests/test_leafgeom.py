@@ -2,15 +2,18 @@
 
 import hashlib
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from anosovlab import expcli as E
 from anosovlab import leafgeom as L
 from anosovlab import systems as S
 from anosovlab.errors import (
+    AnosovLabError,
     DegenerateFit,
     EmptyIntersection,
     InvalidParams,
@@ -433,6 +436,75 @@ def test_series_arithmetic_matches_the_scalar_loops_bit_for_bit(data, order, lea
         assert (L._ser_compose(s, b, order).tobytes()
                 == _scalar_ser_compose(s, b, order).tobytes())
         assert L._ser_invert(s, order).tobytes() == _scalar_ser_invert(s, order).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# graph-transform jets: the derived step count and one jet per input
+
+
+def _jet_bytes(model, pair, vals, theta, unstable, order, **kwargs):
+    """The jet's bytes, or the type of the typed error that ended it."""
+    try:
+        jet, *_ = L._fiber_leaf_series(model, vals, theta, model.rates[list(pair)], unstable,
+                                       order, **kwargs)
+    except AnosovLabError as exc:
+        return type(exc)
+    return jet.tobytes()
+
+
+_weight = st.integers(-5, 5).filter(bool)
+# heights at an integer, one ulp below it, and anywhere
+_height = st.one_of(
+    st.integers(-3, 3).flatmap(
+        lambda k: st.sampled_from([float(k), math.nextafter(k, -math.inf)])),
+    st.floats(-3.0, 3.0),
+)
+
+
+@settings(max_examples=100)
+@given(a=_weight, b=_weight, lam=st.floats(1.0, 8.0, exclude_min=True),
+       eps=st.sampled_from([0.0, 0.01]), pair=st.integers(0, 1), unstable=st.booleans(),
+       height=_height, vals=st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=2),
+       order=st.integers(1, 10))
+def test_derived_step_jets_are_the_eighty_step_jets_byte_for_byte(
+        a, b, lam, eps, pair, unstable, height, vals, order):
+    assume(a != -b)
+    model = make("BorelSmalePerturbed", a=a, b=b, lam=lam, eps_pert=eps).model
+    pair = model.sheared_pairs[pair]
+    theta = height - math.floor(height)  # the section height, as _leaf_map takes it
+    args = (model, pair, np.array(vals), theta, unstable)
+    assert _jet_bytes(*args, order) == _jet_bytes(*args, order, iters=80)
+    # coefficient k reads only powers up to k: the memo serves truncations
+    full = _jet_bytes(*args, 10)
+    if isinstance(full, bytes):
+        for k in range(4, 11):
+            assert full[:8 * k] == _jet_bytes(*args, k)
+
+
+def test_bilipschitz_run_builds_one_jet_per_input(monkeypatch):
+    # counted by wrapping private functions; ROADMAP item 5 will read the jet
+    # and step counts from report.json instead
+    builds = []
+    steps = _count_calls(monkeypatch, L, "_ser_invert")  # one per graph-transform step
+    build = L._fiber_leaf_series
+
+    def counting(model, vals, theta, rates, unstable, order, **kwargs):
+        start = len(steps)
+        out = build(model, vals, theta, rates, unstable, order, **kwargs)
+        key = (vals.tobytes(), theta, rates.tobytes(), unstable)
+        builds.append((key, order, float(np.ptp(rates)), len(steps) - start))
+        return out
+
+    monkeypatch.setattr(L, "_fiber_leaf_series", counting)
+    config = Path(__file__).resolve().parents[1] / "configs" / "bilipschitz_perturbed.cfg"
+    E.run(E.parse_config(config.read_text()), write=False)
+    assert 0 < len(builds) <= 68  # 78 before the memo
+    orders = {}
+    for key, order, _, _ in builds:  # an input is built again only at a higher order
+        assert order > orders.get(key, 0)
+        orders[key] = order
+    slow = min(gap for _, _, gap, _ in builds)
+    assert max(n for _, _, gap, n in builds if gap == slow) <= 25  # 80 before
 
 
 # ---------------------------------------------------------------------------

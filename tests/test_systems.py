@@ -87,8 +87,8 @@ _BS_LEAVES = {"StrongUnstable": [0], "Unstable": [0, 3, 4], "Stable": [1, 2, 5],
 _BS_BLOCKS = [(3, [0]), (2, [3]), (1, [4]), (0, [6]), (-1, [5]), (-2, [2]), (-3, [1])]
 
 #: per axis model: the unit its rates are integers of; each block's rate in
-#: units and its chart axes (a set where rates tie: the order inside a tied
-#: block follows np.argsort, which is not a stable sort); the split; the top,
+#: units and its chart axes (a set where rates tie, whose order
+#: test_tied_blocks_order_their_axes_by_descending_index pins); the split; the top,
 #: second and slow-stable rates in units; the chart axis of each leaf
 #: parameter; and the matrix entry of each unipotent leaf parameter
 DECLARED = {
@@ -153,6 +153,19 @@ def test_axis_model_declarations_are_pinned(case):
     if slots is not None:  # a center-stable leaf moves the stable entries first
         for leaf, want in {**slots, "CenterStable": slots["Stable"]}.items():
             assert _unipotent_slots(model, leaf, len(want)) == want
+
+
+@pytest.mark.parametrize("params, tied", [
+    ({"a": 1, "b": 1}, {1: [2, 0], -1: [3, 1]}),
+    ({"a": 2, "b": -1}, {1: [4, 3], -1: [5, 2]}),
+])
+def test_tied_blocks_order_their_axes_by_descending_index(params, tied):
+    # a stable sort: the first column of a tied block, which the second line
+    # reads, does not depend on the host's sort kernel
+    model = make("BorelSmale", **params).model
+    got = {round(block.rate / model.log_lam): [int(np.argmax(c)) for c in block.basis.T]
+           for block in model.blocks}
+    assert {rate: got[rate] for rate in tied} == tied
 
 
 def test_cat_declarations_are_pinned():
