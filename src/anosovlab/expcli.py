@@ -75,44 +75,51 @@ _SYSTEM_SCHEMAS = {
     for kind, (_, defaults) in sysmod.MODELS.items()
 }
 
-# params schema per experiment: key -> (required, default)
+#: what a [params] runner reads: a number is finite and no bool; a list is
+#: two or more numbers, since one number parses as a scalar
+_NUMBER = "a finite number"
+_NUMBERS = "a finite number or a list of them"
+_LIST = "a list of at least two finite numbers"
+_TEXT = "text"
+
+# params schema per experiment: key -> (required, default, what the runner reads)
 _PARAM_SCHEMAS = {
-    "lyapunov": {"T": (True, None), "dt_qr": (False, 1.0)},
+    "lyapunov": {"T": (True, None, _NUMBER), "dt_qr": (False, 1.0, _NUMBER)},
     "qni": {
-        "u_scale": (False, 0.01),
-        "scale_min": (False, 1e-4),
-        "scale_max": (False, 1e-2),
-        "n_scales": (False, 8),
-        "s_dir": (False, None),
-        "u_dir": (False, None),
+        "u_scale": (False, 0.01, _NUMBER),
+        "scale_min": (False, 1e-4, _NUMBER),
+        "scale_max": (False, 1e-2, _NUMBER),
+        "n_scales": (False, 8, _NUMBER),
+        "s_dir": (False, None, _NUMBERS),
+        "u_dir": (False, None, _NUMBERS),
     },
     "stopping": {
-        "u": (False, 0.3),
-        "ell": (True, None),
-        "epsilon": (False, 0.025),
-        "d0": (False, None),
-        "s_disp": (False, None),
+        "u": (False, 0.3, _NUMBER),
+        "ell": (True, None, _NUMBER),
+        "epsilon": (False, 0.025, _NUMBER),
+        "d0": (False, None, _NUMBER),
+        "s_disp": (False, None, _NUMBERS),
     },
     "bilipschitz": {
-        "u": (False, 0.3),
-        "ell_grid": (True, None),
-        "s_grid": (True, None),
-        "epsilon": (False, 0.025),
+        "u": (False, 0.3, _NUMBER),
+        "ell_grid": (True, None, _LIST),
+        "s_grid": (True, None, _LIST),
+        "epsilon": (False, 0.025, _NUMBER),
     },
-    "equidistribution": {"T": (True, None), "dt": (False, 0.5)},
+    "equidistribution": {"T": (True, None, _NUMBER), "dt": (False, 0.5, _NUMBER)},
     "correlation": {
-        "t0": (False, 1.0),
-        "gaps": (False, [2, 4, 6, 8, 10, 12, 14, 16, 18, 20]),
-        "method": (False, "auto"),
-        "n_u": (False, 4096),
-        "lln_T": (False, 1000.0),
-        "lln_n_u": (False, 64),
+        "t0": (False, 1.0, _NUMBER),
+        "gaps": (False, [2, 4, 6, 8, 10, 12, 14, 16, 18, 20], _LIST),
+        "method": (False, "auto", _TEXT),
+        "n_u": (False, 4096, _NUMBER),
+        "lln_T": (False, 1000.0, _NUMBER),
+        "lln_n_u": (False, 64, _NUMBER),
     },
     "yconfig": {
-        "u": (False, 0.3),
-        "u_prime": (False, 0.25),
-        "ell": (True, None),
-        "epsilon": (False, 0.025),
+        "u": (False, 0.3, _NUMBER),
+        "u_prime": (False, 0.25, _NUMBER),
+        "ell": (True, None, _NUMBER),
+        "epsilon": (False, 0.025, _NUMBER),
     },
 }
 
@@ -167,6 +174,15 @@ def _is_number(v):
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
+def _reads_as(value, want):
+    """Whether a parsed [params] value is what its runner reads (`want`)."""
+    if want == _TEXT:
+        return isinstance(value, str)
+    items = value if isinstance(value, list) else [value]
+    finite = all(_is_number(v) and abs(v) <= sys.float_info.max for v in items)
+    return finite and (want == _NUMBERS or isinstance(value, list) == (want == _LIST))
+
+
 def _suggest(key, candidates):
     near = difflib.get_close_matches(key, candidates, n=1)
     return f" (did you mean {near[0]!r}?)" if near else ""
@@ -213,7 +229,7 @@ def parse_config(text: str) -> ExperimentConfig:
             f"unknown experiment {experiment!r}" + _suggest(str(experiment), EXPERIMENTS)
         )
     seed = top.get("seed", 0)
-    if not isinstance(seed, int):
+    if not isinstance(seed, int) or isinstance(seed, bool):
         problems.append("'seed' must be an integer")
     output_dir = top.get("output_dir", "out")
 
@@ -244,22 +260,19 @@ def parse_config(text: str) -> ExperimentConfig:
     params = dict(sections["params"])
     if experiment in EXPERIMENTS:  # a list value is no key of the schemas
         schema = _PARAM_SCHEMAS[experiment]
-        for key in params:
+        for key, value in params.items():
             if key not in schema:
                 problems.append(
                     f"unknown [params] key {key!r}" + _suggest(key, schema)
                 )
-        for key, (required, default) in schema.items():
+            elif not _reads_as(value, schema[key][2]):
+                problems.append(f"[params] {key!r} must be {schema[key][2]}")
+        for key, (required, default, _) in schema.items():
             if key not in params:
                 if required:
                     problems.append(f"missing required [params] key {key!r}")
                 else:
                     params[key] = default
-    if experiment == "correlation":
-        gaps = params["gaps"]
-        # the decay fit needs two gaps; a single value parses as a scalar
-        if not (isinstance(gaps, list) and len(gaps) >= 2 and all(map(_is_number, gaps))):
-            problems.append("[params] 'gaps' must be a list of at least two numbers")
     if problems:
         raise SchemaError(problems)
 

@@ -359,6 +359,8 @@ def correlation_decay(system: System, x: Point, phi: TestFunction, t: float,
     closed-form single-frequency integral on CatSuspension.
 
     Returns (estimate, standard error)."""
+    if method not in ("auto", "exact", "mc"):
+        raise InvalidParams(f"unknown correlation method {method!r}: use auto, exact or mc")
     if not system.model.quotiented:
         raise Unsupported("correlation diagnostics need a quotiented model")
     if not (math.isfinite(t) and math.isfinite(s)):

@@ -26,7 +26,8 @@ Chart conventions
 Linear models act diagonally on a fixed global chart whose axes are weight
 vectors; the chart metric is flat Euclidean.  Chart-local models store a
 point as Lie-algebra coordinates relative to the identity plus a flow clock,
-so the derivative cocycle is the diagonal weight action there as well.
+so the derivative cocycle is the diagonal weight action there as well; a
+group element's coordinates come back through one real matrix log.
 Leaves are orbits of the corresponding (uni potent) subgroups acting on the
 left; leaf parameters are matrix entries of the unipotent factor (for matrix
 groups) or polarised group coordinates (for the Heisenberg pair).
@@ -638,38 +639,42 @@ class _ToralPerturbedSuspension(_PairWeights):
 # chart-local homogeneous models (matrix groups)
 
 
-_LOGM_DRAWS = np.random.RandomState(0)
+#: the constants of `_real_log`, and its 8 Gauss-Legendre nodes on [0, 1]
+_LOG_RADIUS, _LOG_ROOTS, _ROOT_STEPS, _ROOT_SETTLED = 0.25, 48, 60, 1e-8
+_LOG_NODES, _LOG_WEIGHTS = (np.polynomial.legendre.leggauss(8) + np.array([[1.0], [0.0]])) / 2
 
 
-def _logm_posreal(g):
-    """Principal log of a real matrix with positive real spectrum.
+@np.errstate(all="ignore")  # a root that never settles may overflow
+def _real_log(A):
+    """Principal log of a real matrix in real arithmetic: 2^s log(A^(1/2^s)),
+    inverse scaling and squaring (Higham, Functions of Matrices, 2008, ch. 11).
 
-    Eigen-based fast path.  It falls back to scipy.linalg.logm whenever the
-    computed spectrum is not real and positive to 1e-12 (a complex-conjugate
-    pair, as in every ASL2 fallback), when the eigenvector matrix has
-    condition number 1e8 or more, or when the eigen log keeps an imaginary
-    part above 1e-9."""
-    w, V = np.linalg.eig(g)
-    if np.min(np.abs(w.real)) > 1e-12 and np.max(np.abs(w.imag)) < 1e-12 and np.min(w.real) > 0:
-        cond = np.linalg.cond(V)
-        if cond < 1e8:
-            L = (V * np.log(w.real)) @ np.linalg.inv(V)
-            if np.max(np.abs(L.imag)) < 1e-9:
-                return L.real
-    # logm's 1-norm estimator draws random signs with np.random.randint; point
-    # that at a private generator, reseeded per call, so the result is fixed
-    # and the caller's global state is neither read nor advanced.  (Saving and
-    # restoring the global state instead costs a tenth of the logm call.)
-    _LOGM_DRAWS.seed(0)
-    shared = np.random.randint
-    np.random.randint = _LOGM_DRAWS.randint
+    Square roots until ||A - I||_1 <= _LOG_RADIUS, each by the product-form
+    Denman-Beavers iteration (ibid. (6.17)), Y = A^1/2 M^1/2 as M tends to I
+    quadratically, stopped one step after ||M - I||_1 <= _ROOT_SETTLED.  Then
+    log(I + X) = int_0^1 X (I + tX)^-1 dt by the Gauss-Legendre sum, the [8/8]
+    Pade approximant.  With no real principal log (a real eigenvalue <= 0) the
+    roots never settle: NonFinite within _LOG_ROOTS * _ROOT_STEPS steps."""
+    eye = np.eye(len(A))
     try:
-        L = scipy.linalg.logm(g)
-    finally:
-        np.random.randint = shared
-    if np.max(np.abs(np.asarray(L).imag)) > 1e-8:
-        raise NonFinite("matrix log left the real chart")
-    return np.asarray(L).real
+        for roots in range(_LOG_ROOTS):
+            X = A - eye
+            if np.abs(X).sum(axis=0).max() <= _LOG_RADIUS:  # False on NaN
+                T = eye + _LOG_NODES[:, None, None] * X
+                S = np.linalg.solve(T, np.broadcast_to(X, T.shape))
+                return 2.0**roots * np.tensordot(_LOG_WEIGHTS, S, 1)
+            M = A  # and A, as Y, tends to its square root
+            for _ in range(_ROOT_STEPS):
+                M_inv = np.linalg.inv(M)
+                A = 0.5 * A @ (eye + M_inv)
+                if np.abs(M - eye).sum(axis=0).max() <= _ROOT_SETTLED:
+                    break
+                M = 0.5 * (eye + 0.5 * (M + M_inv))
+            else:
+                break
+    except np.linalg.LinAlgError:  # a singular iterate
+        pass
+    raise NonFinite("matrix has no real principal log")
 
 
 def _unit(i, j):
@@ -727,26 +732,20 @@ class _MatrixGroupModel(_AxisLeaves):
 
         def cartan_residual(sigma):
             m = g @ np.diag(np.exp(-sigma * hdiag))
-            L = _logm_posreal(m)
+            L = _real_log(m)
             return float(np.sum(L * self.H_flow)) / h2, L
 
         s0, s1 = sigma_guess, sigma_guess + 0.1
         r0, _ = cartan_residual(s0)
         for _ in range(60):
             r1, L1 = cartan_residual(s1)
-            if abs(r1) < 1e-13:
-                break
-            if r1 == r0:
+            if abs(r1) < 1e-13 or r1 == r0:
                 break
             s0, s1, r0 = s1, s1 - r1 * (s1 - s0) / (r1 - r0), r1
         else:
             raise NonFinite("clock solve did not converge")
-        coords = np.empty(self.dim)
-        for i, B in enumerate(self.basis):
-            if i == self.theta_index:
-                continue
-            coords[i] = float(np.sum(L1 * B)) / float(np.sum(B * B))
-        coords[self.theta_index] = s1
+        coords = np.array([s1 if B is None else float(np.sum(L1 * B)) / float(np.sum(B * B))
+                           for B in self.basis])  # the clock has no basis matrix
         # verify the remainder lies in the spanned chart
         rec = sum(coords[i] * B for i, B in enumerate(self.basis) if i != self.theta_index)
         if np.max(np.abs(rec - L1)) > 1e-8:

@@ -193,6 +193,53 @@ def test_validate_rejects_what_run_rejects(tmp_path, capsys, kind, line):
     assert json.loads(ends[0][2])["error"] == "InvalidParams"
 
 
+PARAMS_VALUE = """
+experiment = {experiment}
+{top}
+[system]
+kind = {kind}
+[params]
+{lines}
+"""
+
+
+@pytest.mark.parametrize("experiment, kind, top, lines, problem", [
+    ("lyapunov", "BorelSmale", "", "T = abc", "[params] 'T' must be a finite number"),
+    ("lyapunov", "BorelSmale", "", "T = true", "[params] 'T' must be a finite number"),
+    ("lyapunov", "BorelSmale", "", "T = 1, 2", "[params] 'T' must be a finite number"),
+    ("lyapunov", "BorelSmale", "", "T = inf", "[params] 'T' must be a finite number"),
+    ("lyapunov", "BorelSmale", "", "T = 1" + "0" * 400, "[params] 'T' must be a finite number"),
+    ("bilipschitz", "BorelSmalePerturbed", "", "ell_grid = 6\ns_grid = 2, 4",
+     "[params] 'ell_grid' must be a list of at least two finite numbers"),
+    ("correlation", "CatSuspension", "", "gaps = 2, x",
+     "[params] 'gaps' must be a list of at least two finite numbers"),
+    ("correlation", "CatSuspension", "", "method = 5", "[params] 'method' must be text"),
+    ("stopping", "BorelSmale", "", "ell = 6\nd0 = 1, 2", "[params] 'd0' must be a finite number"),
+    ("qni", "SL3Model", "", "s_dir = x",
+     "[params] 's_dir' must be a finite number or a list of them"),
+    ("lyapunov", "BorelSmale", "seed = true", "T = 150", "'seed' must be an integer"),
+], ids=["text", "bool", "list", "inf", "huge", "scalar_grid", "text_in_list", "number_method",
+        "list_d0", "text_dir", "bool_seed"])
+def test_ill_typed_params_and_seed_end_validate_and_run_alike(
+        tmp_path, capsys, experiment, kind, top, lines, problem):
+    # validate once passed these, and run crashed on them or read true as 1
+    cfg = tmp_path / "typed.cfg"
+    cfg.write_text(PARAMS_VALUE.format(experiment=experiment, kind=kind, top=top, lines=lines))
+    for argv in (["validate", str(cfg)], ["run", str(cfg), "--out", str(tmp_path / "o")]):
+        assert E.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        error = json.loads(captured.err)
+        assert error == {"error": "SchemaError", "message": problem}
+
+
+def test_every_params_default_reads_as_its_declared_type():
+    for schema in E._PARAM_SCHEMAS.values():
+        for key, (_, default, want) in schema.items():
+            if default is not None:
+                assert E._reads_as(default, want), key
+
+
 def test_run_payload_is_byte_deterministic():
     cfg = E.parse_config(MINIMAL)
     a = E.payload_bytes(E.run(cfg, write=False))
@@ -365,7 +412,9 @@ PAYLOAD_SHA256 = {
     "correlation_cat": "71d3a25c9b36ee3c",
     "equidistribution_cat": "d9bc2fd892992811",
     "lyapunov_weight_ladder": "60cae5e5eb5b95a7",
-    "qni_sl3": "0b4d229d8cd3abce",
+    # moved with the real matrix log of the SL3 charts, which replaced the
+    # eigen path and scipy's logm: 45 numbers, by at most 4.6e-11 relative
+    "qni_sl3": "b0487f3f27a588dd",
     "stopping_borel_smale": "4f589197c06e9c3d",
     "yconfig_borel_smale": "632160b85e035020",
 }

@@ -237,6 +237,13 @@ def test_correlation_rejects_bad_sampling_inputs():
             M.correlation_decay(CAT, pt(18), phi, math.nan, 3.0, method=method)
 
 
+@pytest.mark.parametrize("method", ["bogus", "MC", "", None])
+def test_correlation_rejects_an_unknown_method(method):
+    # an unknown name once ran Monte Carlo silently
+    with pytest.raises(InvalidParams, match="method"):
+        M.correlation_decay(CAT, pt(18), M.leafwise_test(CAT), 1.0, 3.0, method=method)
+
+
 def test_birkhoff_rejects_runs_without_a_step():
     tests = M.equidistribution_tests(CAT)
     with pytest.raises(InvalidParams):

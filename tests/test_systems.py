@@ -4,9 +4,11 @@ import ast
 import math
 import re
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
@@ -474,6 +476,76 @@ def test_asl2_commutator_projection_formula():
     ux = S.strong_unstable_translate(system, x, [b])
     w, _ = system.model.cs_u_factorize(ux.coords, xp.coords)
     assert abs(w[1] - (-b * y)) <= 1e-10
+
+
+# ---------------------------------------------------------------------------
+# the real matrix log of the matrix-group charts
+
+
+def _chart_logs(system, coords, kind, params):
+    """The matrices whose log `coords_from_matrix` takes while one leaf
+    evaluator call solves for its clock."""
+    with mock.patch.object(S, "_real_log", wraps=S._real_log) as log:
+        system.model.leaf_evaluator(coords, kind)(params)
+    return [call.args[0] for call in log.call_args_list]
+
+
+def assert_principal_real_log(m):
+    """The real log against scipy's logm, and exp(log m) against m."""
+    L = S._real_log(m)
+    ref = scipy.linalg.logm(m)
+    assert np.abs(np.imag(ref)).max() <= 1e-13
+    assert np.abs(L - np.real(ref)).max() <= 1e-13 * max(1.0, np.abs(ref).max())
+    assert np.abs(scipy.linalg.expm(L) - m).max() <= 1e-13 * max(1.0, np.abs(m).max())
+
+
+@pytest.mark.parametrize("kind", ("ASL2Model", "SL3Model"))
+@given(seed=st.integers(0, 2**32 - 1), leaf=st.sampled_from(S.LEAF_KINDS), data=st.data())
+def test_real_log_matches_logm_on_the_matrices_the_charts_take_it_of(kind, seed, leaf, data):
+    system = make(kind)
+    x = seeded_point(system, seed)
+    n = S.leaf_dimension(system, leaf)
+    p = np.array(data.draw(st.lists(st.floats(-0.2, 0.2), min_size=n, max_size=n)))
+    for m in _chart_logs(system, x.coords, leaf, p):
+        assert_principal_real_log(m)
+
+
+@pytest.mark.parametrize("kind", ("ASL2Model", "SL3Model"))
+def test_chart_logs_include_complex_conjugate_spectra(kind):
+    # a complex-conjugate pair takes the same roots and series as a real spectrum
+    system = make(kind)
+    x = seeded_point(system, 3)
+    seen = [m for leaf in S.LEAF_KINDS
+            for m in _chart_logs(system, x.coords, leaf, [0.1] * S.leaf_dimension(system, leaf))]
+    pairs = [m for m in seen if np.abs(np.linalg.eigvals(m).imag).max() > 1e-9]
+    assert pairs
+    for m in pairs:
+        assert_principal_real_log(m)
+
+
+_Q = np.array([[1.0, 0.3, -0.2], [0.1, 1.0, 0.4], [-0.5, 0.2, 1.0]])
+
+
+@pytest.mark.parametrize("m", [
+    np.diag([-1.0, -1.0, 1.0]),  # a rotation by pi
+    np.diag([-2.0, -0.25, 2.0]),
+    _Q @ np.diag([-3.0, -0.5, 2.0 / 3.0]) @ np.linalg.inv(_Q),
+    np.diag([1.0, 0.0, 1.0]),
+    np.full((3, 3), np.nan),
+    np.diag([1.0, np.inf, 1.0]),
+], ids=["minus_one", "negative_pair", "negative_pair_conjugated", "singular", "nan", "inf"])
+def test_real_log_raises_nonfinite_where_no_real_principal_log_exists(m):
+    with mock.patch.object(np.linalg, "inv", wraps=np.linalg.inv) as inv:
+        with pytest.raises(NonFinite, match="no real principal log"):
+            S._real_log(m)
+    assert inv.call_count <= S._LOG_ROOTS * S._ROOT_STEPS
+
+
+def test_real_log_of_the_identity_and_of_a_large_unipotent():
+    assert S._real_log(np.eye(3)).tobytes() == np.zeros((3, 3)).tobytes()
+    n = np.array([[0.0, 40.0, 3.0], [0.0, 0.0, -25.0], [0.0, 0.0, 0.0]])
+    L = S._real_log(scipy.linalg.expm(n))  # eight square roots, then the series
+    assert np.abs(L - n).max() <= 1e-12 * np.abs(n).max()
 
 
 # ---------------------------------------------------------------------------
