@@ -67,7 +67,7 @@ def lyapunov_spectrum(system: System, x0: Point, T: float, dt_qr: float = 1.0,
     if T < 100.0 * dt_qr:
         raise InvalidParams("T must be at least 100 reorthonormalisation intervals")
     n = system.dim
-    steps = int(round(T / dt_qr))
+    steps = sysmod.step_count(T, dt_qr)
     burn = max(1, steps // 10)
     gen = rngmod.derive(seed, "lyapunov_spectrum")
     Q, _ = np.linalg.qr(np.eye(n) + 0.01 * gen.standard_normal((n, n)))

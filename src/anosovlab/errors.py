@@ -6,7 +6,8 @@ class AnosovLabError(Exception):
 
 
 class InvalidParams(AnosovLabError):
-    """System parameters violate a construction invariant."""
+    """System or experiment parameters are out of range (a construction
+    invariant, a [params] domain, or the work cap)."""
 
 
 class NonFinite(AnosovLabError):

@@ -18,9 +18,12 @@ Config format: a single key-value tree with two sections,
 Values parse as int, float, bool, comma-separated number lists, or bare
 strings.  The schema is closed: unknown keys are errors (with a nearest-key
 suggestion), and every validation problem is reported, not just the first.
-Runs are bit-deterministic for a fixed (config, seed, version): all
-randomness derives from the root seed through counter-based task keys and
-report payloads are serialised with sorted keys.
+``EXPERIMENTS`` declares each experiment once: its runner, the domain of
+each [params] key, and its plot files.  A value of the wrong type is a
+SchemaError; numbers out of range are one InvalidParams.  Runs are
+bit-deterministic for a fixed (config, seed, version): all randomness
+derives from the root seed through counter-based task keys and report
+payloads are serialised with sorted keys.
 """
 
 from __future__ import annotations
@@ -29,12 +32,14 @@ import argparse
 import csv
 import difflib
 import io
+import itertools
 import json
 import math
 import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -47,20 +52,11 @@ from . import rng as rngmod
 from . import systems as sysmod
 from .errors import (
     AnosovLabError,
+    InvalidParams,
     KindMismatch,
     ParseError,
     SchemaError,
     Unsupported,
-)
-
-EXPERIMENTS = (
-    "lyapunov",
-    "qni",
-    "stopping",
-    "bilipschitz",
-    "equidistribution",
-    "correlation",
-    "yconfig",
 )
 
 _TOP_KEYS = {"experiment", "seed", "output_dir"}
@@ -75,53 +71,72 @@ _SYSTEM_SCHEMAS = {
     for kind, (_, defaults) in sysmod.MODELS.items()
 }
 
-#: what a [params] runner reads: a number is finite and no bool; a list is
-#: two or more numbers, since one number parses as a scalar
-_NUMBER = "a finite number"
-_NUMBERS = "a finite number or a list of them"
-_LIST = "a list of at least two finite numbers"
-_TEXT = "text"
 
-# params schema per experiment: key -> (required, default, what the runner reads)
-_PARAM_SCHEMAS = {
-    "lyapunov": {"T": (True, None, _NUMBER), "dt_qr": (False, 1.0, _NUMBER)},
-    "qni": {
-        "u_scale": (False, 0.01, _NUMBER),
-        "scale_min": (False, 1e-4, _NUMBER),
-        "scale_max": (False, 1e-2, _NUMBER),
-        "n_scales": (False, 8, _NUMBER),
-        "s_dir": (False, None, _NUMBERS),
-        "u_dir": (False, None, _NUMBERS),
-    },
-    "stopping": {
-        "u": (False, 0.3, _NUMBER),
-        "ell": (True, None, _NUMBER),
-        "epsilon": (False, 0.025, _NUMBER),
-        "d0": (False, None, _NUMBER),
-        "s_disp": (False, None, _NUMBERS),
-    },
-    "bilipschitz": {
-        "u": (False, 0.3, _NUMBER),
-        "ell_grid": (True, None, _LIST),
-        "s_grid": (True, None, _LIST),
-        "epsilon": (False, 0.025, _NUMBER),
-    },
-    "equidistribution": {"T": (True, None, _NUMBER), "dt": (False, 0.5, _NUMBER)},
-    "correlation": {
-        "t0": (False, 1.0, _NUMBER),
-        "gaps": (False, [2, 4, 6, 8, 10, 12, 14, 16, 18, 20], _LIST),
-        "method": (False, "auto", _TEXT),
-        "n_u": (False, 4096, _NUMBER),
-        "lln_T": (False, 1000.0, _NUMBER),
-        "lln_n_u": (False, 64, _NUMBER),
-    },
-    "yconfig": {
-        "u": (False, 0.3, _NUMBER),
-        "u_prime": (False, 0.25, _NUMBER),
-        "ell": (True, None, _NUMBER),
-        "epsilon": (False, 0.025, _NUMBER),
-    },
-}
+def _is_number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _items(v):
+    return v if isinstance(v, list) else [v]
+
+
+@dataclass(frozen=True)
+class Domain:
+    """What one [params] value may be: a type, then a range for its numbers.
+
+    `kind` is the type the runner gets: float, int (a whole number), list
+    (of two or more floats), tuple (of floats, from one number or a list),
+    str, or None (one number, as parsed).  A value of another type is a
+    schema problem.  A number below `lo` (or at it, when `above`) or above
+    `hi` is a range problem."""
+
+    kind: type | None
+    lo: float = -math.inf
+    hi: float = math.inf
+    above: bool = False
+
+    @property
+    def what(self):
+        kinds = {int: "an integer", list: "a list of at least two finite numbers",
+                 tuple: "a finite number or a list of them", str: "text"}
+        return kinds.get(self.kind, "a finite number")
+
+    @property
+    def range(self):
+        lo = [f"{'>' if self.above else '>='} {self.lo}"] if self.lo > -math.inf else []
+        return " and ".join(lo + ([f"<= {self.hi}"] if self.hi < math.inf else []))
+
+    def __str__(self):  # as the README lists it
+        return f"{self.what} {self.range}".strip()
+
+    def fits(self, v):
+        """Whether a parsed value has this domain's type."""
+        if self.kind is str:
+            return isinstance(v, str)
+        if self.kind is int:  # past the float range too: the range says why
+            return _is_number(v) and (isinstance(v, int) or v.is_integer())
+        if self.kind is not tuple and isinstance(v, list) != (self.kind is list):
+            return False
+        return all(_is_number(x) and abs(x) <= sys.float_info.max for x in _items(v))
+
+    def holds(self, v):
+        """Whether every number of a value that fits lies in the range."""
+        return self.kind is str or all(
+            (x > self.lo if self.above else x >= self.lo) and x <= self.hi for x in _items(v))
+
+    def read(self, v):
+        """What the runner gets of a value that fits (None stays None)."""
+        if v is None or self.kind in (None, str):
+            return v
+        if self.kind in (list, tuple):
+            return self.kind(float(x) for x in _items(v))
+        return self.kind(v)
+
+
+_REAL = Domain(float)
+_POSITIVE = Domain(float, 0, above=True)
+_POSITIVES = Domain(list, 0, above=True)
+_VECTOR = Domain(tuple)
 
 
 @dataclass
@@ -174,15 +189,6 @@ def _is_number(v):
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
-def _reads_as(value, want):
-    """Whether a parsed [params] value is what its runner reads (`want`)."""
-    if want == _TEXT:
-        return isinstance(value, str)
-    items = value if isinstance(value, list) else [value]
-    finite = all(_is_number(v) and abs(v) <= sys.float_info.max for v in items)
-    return finite and (want == _NUMBERS or isinstance(value, list) == (want == _LIST))
-
-
 def _suggest(key, candidates):
     near = difflib.get_close_matches(key, candidates, n=1)
     return f" (did you mean {near[0]!r}?)" if near else ""
@@ -222,9 +228,10 @@ def parse_config(text: str) -> ExperimentConfig:
         if key not in _TOP_KEYS:
             problems.append(f"unknown top-level key {key!r}" + _suggest(key, _TOP_KEYS))
     experiment = top.get("experiment")
+    exp = EXPERIMENTS.get(experiment) if isinstance(experiment, str) else None
     if experiment is None:
         problems.append("missing required key 'experiment'")
-    elif experiment not in EXPERIMENTS:
+    elif exp is None:
         problems.append(
             f"unknown experiment {experiment!r}" + _suggest(str(experiment), EXPERIMENTS)
         )
@@ -252,22 +259,24 @@ def parse_config(text: str) -> ExperimentConfig:
             )
             continue
         n = np.size(sys_schema[key])
-        got = value if isinstance(value, list) else [value]
+        got = _items(value)
         if len(got) != n or not all(map(_is_number, got)):
             problems.append(f"[system] {key!r} must be "
                             + ("a number" if n == 1 else f"a list of {n} numbers"))
 
     params = dict(sections["params"])
-    if experiment in EXPERIMENTS:  # a list value is no key of the schemas
-        schema = _PARAM_SCHEMAS[experiment]
+    ranges = []
+    if exp is not None:
         for key, value in params.items():
-            if key not in schema:
-                problems.append(
-                    f"unknown [params] key {key!r}" + _suggest(key, schema)
-                )
-            elif not _reads_as(value, schema[key][2]):
-                problems.append(f"[params] {key!r} must be {schema[key][2]}")
-        for key, (required, default, _) in schema.items():
+            if key not in exp.params:
+                problems.append(f"unknown [params] key {key!r}" + _suggest(key, exp.params))
+                continue
+            domain = exp.params[key][2]
+            if not domain.fits(value):
+                problems.append(f"[params] {key!r} must be {domain.what}")
+            elif not domain.holds(value):
+                ranges.append(f"[params] {key!r} must be {domain.range}, got {value!r}")
+        for key, (required, default, _) in exp.params.items():
             if key not in params:
                 if required:
                     problems.append(f"missing required [params] key {key!r}")
@@ -275,6 +284,8 @@ def parse_config(text: str) -> ExperimentConfig:
                     params[key] = default
     if problems:
         raise SchemaError(problems)
+    if ranges:
+        raise InvalidParams("; ".join(ranges))
 
     param_of = {key: k for k, key in _CONFIG_KEYS.items()}
     spec_params = {param_of.get(k, k): v for k, v in sysd.items()}
@@ -329,95 +340,54 @@ def _start_point(system, seed):
     return sysmod.random_point(system, rngmod.derive(seed, "start_point"))
 
 
+def _unit(v):
+    return tuple(v / np.linalg.norm(v))
+
+
+def _fields(obj, *names):
+    return {name: getattr(obj, name) for name in names}
+
+
 def _run_lyapunov(system, params, seed):
     x0 = _start_point(system, seed)
-    rep = comod.lyapunov_spectrum(system, x0, T=float(params["T"]),
-                                  dt_qr=float(params["dt_qr"]), seed=seed)
-    return {
-        "exponents": rep.exponents,
-        "stderr": rep.stderr,
-        "T_total": rep.T_total,
-        "steps": rep.steps,
-    }
+    rep = comod.lyapunov_spectrum(system, x0, T=params["T"], dt_qr=params["dt_qr"], seed=seed)
+    return _fields(rep, "exponents", "stderr", "T_total", "steps")
 
 
 def _run_qni(system, params, seed):
     x = _start_point(system, seed)
-    n_s = sysmod.leaf_dimension(system, "Stable")
-    n_u = sysmod.leaf_dimension(system, "StrongUnstable")
     gen = rngmod.derive(seed, "qni_directions")
-    s_dir = params.get("s_dir")
-    if s_dir is None:
-        v = gen.standard_normal(n_s)
-        s_dir = tuple(v / np.linalg.norm(v))
-    else:
-        s_dir = tuple(float(v) for v in np.atleast_1d(s_dir))
-    u_dir = params.get("u_dir")
-    if u_dir is None:
-        u_dir = tuple(np.ones(n_u) / math.sqrt(n_u))
-    else:
-        u_dir = tuple(float(v) for v in np.atleast_1d(u_dir))
-    scales = np.geomspace(float(params["scale_min"]), float(params["scale_max"]),
-                          int(params["n_scales"]))
-    dirs = lgmod.QniDirections(s_dir=s_dir, u_dir=u_dir, u_scale=float(params["u_scale"]))
+    n_s, n_u = (sysmod.leaf_dimension(system, k) for k in ("Stable", "StrongUnstable"))
+    dirs = lgmod.QniDirections(s_dir=params["s_dir"] or _unit(gen.standard_normal(n_s)),
+                               u_dir=params["u_dir"] or _unit(np.ones(n_u)),
+                               u_scale=params["u_scale"])
+    scales = np.geomspace(params["scale_min"], params["scale_max"], params["n_scales"])
     est = lgmod.qni_exponent(system, x, dirs, scales)
     quad_rows = [
-        {
-            "dist_xx": q.dist_xx,
-            "dist_xux": q.dist_xux,
-            "ratio": q.ratio,
-            "p_uu_norm": float(np.linalg.norm(q.p_uu)),
-            "p_u_norm": float(np.linalg.norm(q.p_u)),
-        }
+        {**_fields(q, "dist_xx", "dist_xux", "ratio"),
+         "p_uu_norm": float(np.linalg.norm(q.p_uu)),
+         "p_u_norm": float(np.linalg.norm(q.p_u))}
         for q in est.quads
     ]
-    return {
-        "alpha_hat": est.alpha_hat,
-        "C_hat": est.C_hat,
-        "r2": est.r2,
-        "scale_range": list(est.scale_range),
-        "quadrilaterals": quad_rows,
-    }
+    return {**_fields(est, "alpha_hat", "C_hat", "r2"),
+            "scale_range": list(est.scale_range), "quadrilaterals": quad_rows}
 
 
 def _run_stopping(system, params, seed):
     q1 = _start_point(system, seed)
-    comp = None
-    if params.get("s_disp") is not None or params.get("d0") is not None:
-        s_disp = params.get("s_disp")
-        if s_disp is None:
-            comp = fmod.Companion(
-                s_disp=fmod.default_companion(system).s_disp,
-                r_seed=params.get("d0"),
-            )
-        else:
-            comp = fmod.Companion(
-                s_disp=tuple(float(v) for v in np.atleast_1d(s_disp)),
-                r_seed=params.get("d0"),
-            )
-    rec = fmod.stopping_time(system, q1, float(params["u"]), float(params["ell"]),
-                             float(params["epsilon"]), comp)
-    return {
-        "tau2": rec.tau2,
-        "beta_bound": rec.beta_bound,
-        "epsilon": rec.epsilon,
-        "ell": rec.ell,
-        "u": rec.u,
-        "never_reaches": rec.never_reaches,
-        "lambda2_at_stop": rec.lambda2_at_stop,
-        "B_scalar": rec.B_scalar,
-        "r_seed": rec.r_seed,
-        "A_trace": [[t, a] for t, a in rec.A_trace],
-    }
+    s_disp, d0 = params["s_disp"], params["d0"]
+    comp = None if s_disp is None and d0 is None else fmod.Companion(
+        s_disp=s_disp or fmod.default_companion(system).s_disp, r_seed=d0)
+    rec = fmod.stopping_time(system, q1, params["u"], params["ell"], params["epsilon"], comp)
+    return {**_fields(rec, "tau2", "beta_bound", "epsilon", "ell", "u", "never_reaches",
+                      "lambda2_at_stop", "B_scalar", "r_seed"),
+            "A_trace": [[t, a] for t, a in rec.A_trace]}
 
 
 def _run_bilipschitz(system, params, seed):
     q1 = _start_point(system, seed)
     k1, k2, ok, det = fmod.bilipschitz_check(
-        system, q1, float(params["u"]),
-        [float(v) for v in params["ell_grid"]],
-        [float(v) for v in params["s_grid"]],
-        float(params["epsilon"]),
+        system, q1, params["u"], params["ell_grid"], params["s_grid"], params["epsilon"]
     )
     return {
         "kappa1_hat": k1,
@@ -433,8 +403,7 @@ def _run_bilipschitz(system, params, seed):
 def _run_equidistribution(system, params, seed):
     x = _start_point(system, seed)
     tests = mmod.equidistribution_tests(system)
-    rep = mmod.birkhoff_equidistribution(system, x, tests, T=float(params["T"]),
-                                         dt=float(params["dt"]))
+    rep = mmod.birkhoff_equidistribution(system, x, tests, T=params["T"], dt=params["dt"])
     return {
         "test_values": [[n, a, r] for n, a, r in rep.test_values],
         "discrepancy_curve": [[t, d] for t, d in rep.discrepancy_curve],
@@ -445,13 +414,11 @@ def _run_equidistribution(system, params, seed):
 def _run_correlation(system, params, seed):
     x = _start_point(system, seed)
     phi = mmod.leafwise_test(system)
-    t0 = float(params["t0"])
-    gaps = [float(g) for g in params["gaps"]]
+    t0, gaps = params["t0"], params["gaps"]
     rows = []
     for g in gaps:
-        v, se = mmod.correlation_decay(system, x, phi, t0, t0 + g,
-                                       n_u=int(params["n_u"]), seed=seed,
-                                       method=str(params["method"]))
+        v, se = mmod.correlation_decay(system, x, phi, t0, t0 + g, n_u=params["n_u"],
+                                       seed=seed, method=params["method"])
         rows.append({"gap": g, "estimate": v, "stderr": se})
     # decay fit is linear in the gap (log values against the gap itself)
     ln = np.log(np.maximum([abs(r["estimate"]) for r in rows], 1e-300))
@@ -459,8 +426,7 @@ def _run_correlation(system, params, seed):
     pred = np.polyval(coef, gaps)
     ss = float(np.sum((ln - ln.mean()) ** 2))
     r2 = 1.0 - float(np.sum((ln - pred) ** 2)) / ss if ss > 0 else 0.0
-    lln = mmod.lln_average(system, x, phi, T=float(params["lln_T"]),
-                           n_u=int(params["lln_n_u"]), seed=seed)
+    lln = mmod.lln_average(system, x, phi, T=params["lln_T"], n_u=params["lln_n_u"], seed=seed)
     return {
         "pairs": rows,
         "gamma_hat": float(-coef[0]),
@@ -472,43 +438,122 @@ def _run_correlation(system, params, seed):
 
 def _run_yconfig(system, params, seed):
     q1 = _start_point(system, seed)
-    q = sysmod.flow(system, q1, -float(params["ell"]))
+    q = sysmod.flow(system, q1, -params["ell"])
     cfg, cfg_p = fmod.paired_y_configurations(
-        system, q, float(params["u"]), float(params["u_prime"]),
-        float(params["ell"]), float(params["epsilon"]),
+        system, q, params["u"], params["u_prime"], params["ell"], params["epsilon"]
     )
 
     def pack(c):
-        return {
-            "q": list(c.q.coords),
-            "q1": list(c.q1.coords),
-            "u_q1": list(c.u_q1.coords),
-            "q2": list(c.q2.coords),
-            "q3": list(c.q3.coords),
-            "ell": c.ell,
-            "t": c.t,
-            "t2": c.t2,
-        }
+        return {**{k: list(getattr(c, k).coords) for k in ("q", "q1", "u_q1", "q2", "q3")},
+                **_fields(c, "ell", "t", "t2")}
 
     return {"config": pack(cfg), "config_prime": pack(cfg_p), "tau_gap": cfg.tau_gap}
 
 
-_RUNNERS = {
-    "lyapunov": _run_lyapunov,
-    "qni": _run_qni,
-    "stopping": _run_stopping,
-    "bilipschitz": _run_bilipschitz,
-    "equidistribution": _run_equidistribution,
-    "correlation": _run_correlation,
-    "yconfig": _run_yconfig,
+def _fit_line(*keys):
+    """A one-line text file: `key = value` for each result key."""
+    return None, lambda res: ", ".join(f"{k} = {res[k]!r}" for k in keys) + "\n"
+
+
+def _trace_fit(res):
+    ts = [row[0] for row in res["A_trace"]]
+    vals = [max(row[1], 1e-300) for row in res["A_trace"]]
+    try:
+        slope = np.polyfit(ts, np.log(vals), 1)[0] if len(ts) > 1 else 0.0
+    except np.linalg.LinAlgError:  # a window too short to scale (ell near 0)
+        slope = math.nan
+    return f"tau2 = {res['tau2']!r}, log-slope = {float(slope)!r}\n"
+
+
+_QUAD = ("dist_xx", "dist_xux", "ratio", "p_uu_norm", "p_u_norm")
+
+
+class Experiment(NamedTuple):
+    """One experiment family: its runner, its [params] as key -> (required,
+    default, domain), and its plot files as name -> (CSV header, rows of the
+    results) or (None, the text of the results)."""
+
+    runner: Callable
+    params: dict
+    plot: dict
+
+
+EXPERIMENTS = {
+    "lyapunov": Experiment(_run_lyapunov, {
+        "T": (True, None, _POSITIVE), "dt_qr": (False, 1.0, _POSITIVE),
+    }, {
+        "spectrum.csv": (("index", "exponent", "stderr"),
+                         lambda res: zip(itertools.count(), res["exponents"], res["stderr"])),
+    }),
+    "qni": Experiment(_run_qni, {
+        "u_scale": (False, 0.01, _POSITIVE),
+        "scale_min": (False, 1e-4, _POSITIVE),
+        "scale_max": (False, 1e-2, _POSITIVE),
+        # a scale is one quadrilateral, about 13 ms and 2 kB
+        "n_scales": (False, 8, Domain(int, 6, 1000)),
+        "s_dir": (False, None, _VECTOR),
+        "u_dir": (False, None, _VECTOR),
+    }, {
+        "qni_scatter.csv": (_QUAD, lambda res: ([r[k] for k in _QUAD]
+                                                for r in res["quadrilaterals"])),
+        "qni_fit.txt": _fit_line("alpha_hat", "C_hat", "r2"),
+    }),
+    "stopping": Experiment(_run_stopping, {
+        "u": (False, 0.3, _REAL),
+        "ell": (True, None, _POSITIVE),
+        "epsilon": (False, 0.025, _POSITIVE),
+        "d0": (False, None, Domain(None, 0, above=True)),  # the r_seed, as written
+        "s_disp": (False, None, _VECTOR),
+    }, {
+        "a_trace.csv": (("t", "A_value"), lambda res: res["A_trace"]),
+        "a_trace_fit.txt": (None, _trace_fit),
+    }),
+    "bilipschitz": Experiment(_run_bilipschitz, {
+        "u": (False, 0.3, _REAL),
+        "ell_grid": (True, None, _POSITIVES),
+        "s_grid": (True, None, _POSITIVES),
+        "epsilon": (False, 0.025, _POSITIVE),
+    }, {
+        "stopping_times.csv": (("ell", "tau2"),
+                               lambda res: sorted((float(k), v) for k, v in res["taus"].items())),
+    }),
+    "equidistribution": Experiment(_run_equidistribution, {
+        "T": (True, None, _POSITIVE), "dt": (False, 0.5, _POSITIVE),
+    }, {
+        "discrepancy.csv": (("T", "sup_discrepancy"), lambda res: res["discrepancy_curve"]),
+    }),
+    "correlation": Experiment(_run_correlation, {
+        "t0": (False, 1.0, Domain(float, 0)),
+        "gaps": (False, [2, 4, 6, 8, 10, 12, 14, 16, 18, 20], _POSITIVES),
+        "method": (False, "auto", Domain(str)),
+        "n_u": (False, 4096, Domain(int, 2, sysmod.MAX_STEPS)),
+        "lln_T": (False, 1000.0, _POSITIVE),
+        "lln_n_u": (False, 64, Domain(int, 1, sysmod.MAX_STEPS)),
+    }, {
+        "correlation.csv": (("gap", "estimate", "stderr"), lambda res: (
+            [r["gap"], r["estimate"], r["stderr"]] for r in res["pairs"])),
+        "correlation_fit.txt": _fit_line("gamma_hat", "r2"),
+    }),
+    "yconfig": Experiment(_run_yconfig, {
+        "u": (False, 0.3, _REAL),
+        "u_prime": (False, 0.25, _REAL),
+        "ell": (True, None, _POSITIVE),
+        "epsilon": (False, 0.025, _POSITIVE),
+    }, {
+        "yconfig.csv": (("ell", "t", "t2", "tau_gap"), lambda res: [
+            [res["config"]["ell"], res["config"]["t"], res["config"]["t2"], res["tau_gap"]]]),
+    }),
 }
 
 
 def run(config: ExperimentConfig, write: bool = True) -> RunReport:
     """Execute the experiment; deterministic payload for a fixed config."""
     system = sysmod.make_system(config.system)
+    exp = EXPERIMENTS[config.experiment]
+    params = {key: domain.read(config.params.get(key, default))
+              for key, (_, default, domain) in exp.params.items()}
     start = time.perf_counter()
-    results = _RUNNERS[config.experiment](system, config.params, config.seed)
+    results = exp.runner(system, params, config.seed)
     wall = time.perf_counter() - start
     report = RunReport(
         config_echo=serialize_config(config),
@@ -524,28 +569,14 @@ def run(config: ExperimentConfig, write: bool = True) -> RunReport:
 
 def payload_bytes(report: RunReport) -> bytes:
     """The deterministic part of the report (excludes wall time)."""
-    return json.dumps(
-        {
-            "config_echo": report.config_echo,
-            "experiment": report.experiment,
-            "results": report.results,
-            "version": report.version,
-        },
-        sort_keys=True,
-    ).encode("utf-8")
+    payload = {k: v for k, v in vars(report).items() if k != "wall_time"}
+    return json.dumps(payload, sort_keys=True).encode("utf-8")
 
 
 def _write_report(report: RunReport, outdir: Path):
     outdir.mkdir(parents=True, exist_ok=True)
-    full = {
-        "config_echo": report.config_echo,
-        "experiment": report.experiment,
-        "results": report.results,
-        "version": report.version,
-        "wall_time": report.wall_time,
-    }
     (outdir / "report.json").write_text(
-        json.dumps(full, sort_keys=True, indent=1) + "\n", encoding="utf-8"
+        json.dumps(vars(report), sort_keys=True, indent=1) + "\n", encoding="utf-8"
     )
     emit_plot_data(report, report.experiment, outdir)
 
@@ -563,65 +594,18 @@ def emit_plot_data(report: RunReport, kind: str, outdir=None):
     """Write gnuplot-friendly series for the report; returns the file list."""
     if kind != report.experiment:
         raise KindMismatch(f"report holds {report.experiment!r}, not {kind!r}")
+    if kind not in EXPERIMENTS:
+        raise KindMismatch(f"no plot writer for {kind!r}")
     outdir = Path(outdir if outdir is not None else "out")
     outdir.mkdir(parents=True, exist_ok=True)
-    res = report.results
     written = []
-    if kind == "lyapunov":
-        p = outdir / "spectrum.csv"
-        _write_csv(p, ["index", "exponent", "stderr"],
-                   list(zip(range(len(res["exponents"])), res["exponents"], res["stderr"])))
-        written.append(p)
-    elif kind == "qni":
-        p = outdir / "qni_scatter.csv"
-        _write_csv(p, ["dist_xx", "dist_xux", "ratio", "p_uu_norm", "p_u_norm"],
-                   [[r["dist_xx"], r["dist_xux"], r["ratio"], r["p_uu_norm"], r["p_u_norm"]]
-                    for r in res["quadrilaterals"]])
-        written.append(p)
-        p2 = outdir / "qni_fit.txt"
-        p2.write_text(
-            f"alpha_hat = {res['alpha_hat']!r}, C_hat = {res['C_hat']!r}, r2 = {res['r2']!r}\n",
-            encoding="utf-8",
-        )
-        written.append(p2)
-    elif kind == "stopping":
-        p = outdir / "a_trace.csv"
-        _write_csv(p, ["t", "A_value"], res["A_trace"])
-        written.append(p)
-        ts = [row[0] for row in res["A_trace"]]
-        vals = [max(row[1], 1e-300) for row in res["A_trace"]]
-        slope = np.polyfit(ts, np.log(vals), 1)[0] if len(ts) > 1 else 0.0
-        p2 = outdir / "a_trace_fit.txt"
-        p2.write_text(
-            f"tau2 = {res['tau2']!r}, log-slope = {float(slope)!r}\n", encoding="utf-8"
-        )
-        written.append(p2)
-    elif kind == "equidistribution":
-        p = outdir / "discrepancy.csv"
-        _write_csv(p, ["T", "sup_discrepancy"], res["discrepancy_curve"])
-        written.append(p)
-    elif kind == "correlation":
-        p = outdir / "correlation.csv"
-        _write_csv(p, ["gap", "estimate", "stderr"],
-                   [[r["gap"], r["estimate"], r["stderr"]] for r in res["pairs"]])
-        written.append(p)
-        p2 = outdir / "correlation_fit.txt"
-        p2.write_text(
-            f"gamma_hat = {res['gamma_hat']!r}, r2 = {res['r2']!r}\n", encoding="utf-8"
-        )
-        written.append(p2)
-    elif kind == "bilipschitz":
-        p = outdir / "stopping_times.csv"
-        _write_csv(p, ["ell", "tau2"], sorted((float(k), v) for k, v in res["taus"].items()))
-        written.append(p)
-    elif kind == "yconfig":
-        p = outdir / "yconfig.csv"
-        _write_csv(p, ["ell", "t", "t2", "tau_gap"],
-                   [[res["config"]["ell"], res["config"]["t"], res["config"]["t2"],
-                     res["tau_gap"]]])
-        written.append(p)
-    else:
-        raise KindMismatch(f"no plot writer for {kind!r}")
+    for name, (header, content) in EXPERIMENTS[kind].plot.items():
+        path = outdir / name
+        if header is None:
+            path.write_text(content(report.results), encoding="utf-8")
+        else:
+            _write_csv(path, header, content(report.results))
+        written.append(path)
     return written
 
 
@@ -673,13 +657,8 @@ def main(argv=None) -> int:
             return 0
         if args.command == "plot":
             data = json.loads(args.report.read_text(encoding="utf-8"))
-            report = RunReport(
-                config_echo=data["config_echo"],
-                results=data["results"],
-                wall_time=data.get("wall_time", 0.0),
-                version=data.get("version", __version__),
-                experiment=data["experiment"],
-            )
+            report = RunReport(data["config_echo"], data["results"], data.get("wall_time", 0.0),
+                               data.get("version", __version__), data["experiment"])
             outdir = args.out if args.out is not None else args.report.parent
             files = emit_plot_data(report, args.kind, outdir)
             print(json.dumps({"written": [str(f) for f in files]}, sort_keys=True))

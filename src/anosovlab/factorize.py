@@ -370,6 +370,10 @@ def build_transfer(system: System, q1: Point, u: float, ell: float,
     x = sysmod.strong_unstable_translate(system, q_half, [u_half])
 
     s_params = np.asarray(companion.s_disp, dtype=float)
+    stable_rates = model.leaf_rates("Stable")
+    if s_params.shape != (len(stable_rates),):
+        raise InvalidParams(f"s_disp needs {len(stable_rates)} stable-leaf parameters, "
+                            f"got {s_params.size}")
     # contracted stable data at the half-way and full levels (restricted
     # cocycle on the stable sub-bundle); the splittings at q (for the stable
     # frame), q_half and x join the profile's batch
@@ -379,7 +383,6 @@ def build_transfer(system: System, q1: Point, u: float, ell: float,
     v_half = s_norm * math.exp(s_prof(ell / 2.0)) * s_prof.vector_at(ell / 2.0)
     r1 = companion.r_seed if companion.r_seed is not None else s_norm * math.exp(s_prof(ell))
 
-    stable_rates = model.leaf_rates("Stable")
     if system.exact_exponents is None:
         # measured splitting: read the parameters off the measured stable
         # blocks, and place the companion on the curved stable leaf chart

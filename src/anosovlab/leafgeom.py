@@ -642,6 +642,10 @@ def qni_exponent(system: System, x: Point, directions: QniDirections,
         raise DegenerateFit("scales all equal: rank-deficient regression")
     s_dir = np.asarray(directions.s_dir, dtype=float)
     u_dir = np.asarray(directions.u_dir, dtype=float)
+    for kind, v in (("Stable", s_dir), ("StrongUnstable", u_dir)):
+        n = sysmod.leaf_dimension(system, kind)
+        if v.shape != (n,):
+            raise InvalidParams(f"the {kind} direction has {v.size} entries; its leaf has {n}")
     quads = []
     dists = []
     pnorms = []

@@ -96,8 +96,12 @@ def _section_samples(model, c, times):
     theta0 = red[2]
     a, b = (float(v) for v in model.power(-theta0) @ red[:2])
     p, q, r, s = (float(v) for v in model.section_map.ravel())
+    crossings = math.floor(theta0 + times[-1]) + 1
+    if crossings > sysmod.MAX_STEPS:
+        raise InvalidParams(f"an orbit to time {times[-1]} crosses the section "
+                            f"{crossings:.3g} times; at most {sysmod.MAX_STEPS} are allowed")
     rows = array("d", (a % 1.0, b % 1.0))
-    for _ in range(int(math.floor(theta0 + times[-1])) + 1):
+    for _ in range(crossings):
         a, b = (p * a + q * b) % 1.0, (r * a + s * b) % 1.0
         rows.append(a)
         rows.append(b)
@@ -261,18 +265,6 @@ def _eval_test_rows(system, tf, c):
     return _eval_tests_batch([tf], *_section_coords(system, c))[:, 0]
 
 
-def _step_count(T, dt):
-    """Number of dt steps in a run of length T; at least one."""
-    if not dt > 0:
-        raise InvalidParams(f"time step must be positive, got dt = {dt}")
-    if not math.isfinite(T / dt):
-        raise NonFinite("run length is not finite")
-    steps = int(round(T / dt))
-    if steps < 1:
-        raise InvalidParams(f"T = {T} holds no time step of dt = {dt}")
-    return steps
-
-
 def birkhoff_equidistribution(system: System, x: Point, tests, T: float,
                               dt: float = 0.5, reference: str = "haar") -> EquidistributionReport:
     """Time averages along the orbit of x against the invariant integrals."""
@@ -280,7 +272,7 @@ def birkhoff_equidistribution(system: System, x: Point, tests, T: float,
         raise Unsupported("equidistribution diagnostics need a quotiented model")
     if reference != "haar":
         raise InvalidParams(f"unknown reference measure {reference!r}")
-    steps = _step_count(T, dt)
+    steps = sysmod.step_count(T, dt)
     times = np.arange(1, steps + 1) * dt
     refs = np.array([tf.reference for tf in tests])
     if _toral(system):
@@ -416,7 +408,7 @@ def lln_average(system: System, x: Point, phi: TestFunction, T: float,
     """95th percentile over the leaf parameter of |time average of f_t|."""
     if not system.model.quotiented:
         raise Unsupported("correlation diagnostics need a quotiented model")
-    steps = _step_count(T, dt)
+    steps = sysmod.step_count(T, dt)
     if n_u < 1:
         raise InvalidParams(f"lln_average needs n_u >= 1 leaf samples, got {n_u}")
     gen = rngmod.derive(seed, "lln")

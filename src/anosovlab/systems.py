@@ -189,21 +189,6 @@ def heisenberg_inverse(g):
     return np.array([-x, -y, -z + x * y])
 
 
-def heisenberg_reduce(coords) -> np.ndarray:
-    """Canonical representative of a point of H(R)/H(Z), entries in [0, 1).
-
-    Right-multiplies by integer-lattice elements: first the x generator, then
-    y (which shifts z by x*eta through the group law), then the centre.
-    """
-    x, y, z = (float(c) for c in coords)
-    x_red = x - math.floor(x)
-    y_shift = -math.floor(y)
-    y_red = y + y_shift
-    z = z + x_red * y_shift
-    z_red = z - math.floor(z)
-    return np.array([x_red, y_red, z_red])
-
-
 # ---------------------------------------------------------------------------
 # CatSuspension
 
@@ -877,6 +862,28 @@ def make_system(spec: SystemSpec) -> System:
         spec=spec,
         model=model,
     )
+
+
+#: the most time steps (or section crossings) one run may take: 5x the
+#: longest library orbit the tests take (a leaf measure's 1e6 crossings) and
+#: 62x the longest config run (8e4 steps).  At the cap a Birkhoff run on the
+#: nil model holds about 1.9 GB (384 bytes a step), a Lyapunov run 0.3 GB
+MAX_STEPS = 5 * 10**6
+
+
+def step_count(T, dt) -> int:
+    """Number of dt steps in a run of length T: at least one, at most MAX_STEPS."""
+    if not dt > 0:
+        raise InvalidParams(f"time step must be positive, got dt = {dt}")
+    if not math.isfinite(T / dt):
+        raise NonFinite("run length is not finite")
+    if T / dt > MAX_STEPS:
+        raise InvalidParams(f"T = {T} asks for {T / dt:.3g} steps of dt = {dt}; "
+                            f"at most {MAX_STEPS} are allowed")
+    steps = int(round(T / dt))
+    if steps < 1:
+        raise InvalidParams(f"T = {T} holds no time step of dt = {dt}")
+    return steps
 
 
 def _check_finite(arr, what="input"):

@@ -21,6 +21,13 @@ def pt(system, seed):
     return S.random_point(system, np.random.default_rng(seed))
 
 
+def test_lyapunov_spectrum_counts_its_steps_under_the_cap():
+    system = make("BorelSmale")
+    for T, dt_qr in [((S.MAX_STEPS + 1) * 0.5, 0.5), (1e300, 1.0), (200.0, 1e-300),
+                     (200.0, 0.0), (200.0, -1.0)]:
+        with pytest.raises(InvalidParams):  # before any allocation
+            C.lyapunov_spectrum(system, pt(system, 0), T=T, dt_qr=dt_qr)
+
 def test_borel_smale_spectrum_exact_constant_cocycle():
     system = make("BorelSmale", a=3, b=-2)
     rep = C.lyapunov_spectrum(system, pt(system, 1), T=200.0)

@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import subprocess
 import sys
 import tempfile
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from anosovlab import expcli as E
@@ -234,10 +235,87 @@ def test_ill_typed_params_and_seed_end_validate_and_run_alike(
 
 
 def test_every_params_default_reads_as_its_declared_type():
-    for schema in E._PARAM_SCHEMAS.values():
-        for key, (_, default, want) in schema.items():
+    for exp in E.EXPERIMENTS.values():
+        for key, (_, default, domain) in exp.params.items():
             if default is not None:
-                assert E._reads_as(default, want), key
+                assert domain.fits(default), key
+                assert isinstance(domain.read(default), domain.kind or float), key
+
+
+def test_every_params_default_lies_in_its_domain():
+    for exp in E.EXPERIMENTS.values():
+        for key, (required, default, domain) in exp.params.items():
+            if required:
+                assert default is None, key
+            elif default is not None:
+                assert domain.fits(default) and domain.holds(default), key
+
+
+def _cli(argv):
+    """(exit code, stdout, stderr) of one in-process CLI call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = E.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _one_error_line(out, err):
+    # exactly one JSON object on one line, no traceback
+    assert out == ""
+    assert err.count("\n") == 1
+    assert set(json.loads(err)) == {"error", "message"}
+    return json.loads(err)["error"]
+
+
+def _with_param(name, line):
+    """A shipped config with one [params] line set (replaced, or added)."""
+    key = line.split("=")[0].strip()
+    lines = [ln for ln in (CONFIGS / f"{name}.cfg").read_text().splitlines()
+             if ln.split("=")[0].strip() != key]
+    return "\n".join(lines + [line]) + "\n"
+
+
+@pytest.mark.parametrize("name, line, validate, run, error", [
+    ("qni_sl3", "n_scales = -1", 3, 3, "InvalidParams"),
+    ("qni_sl3", "scale_min = 0", 3, 3, "InvalidParams"),
+    ("lyapunov_weight_ladder", "dt_qr = 0", 3, 3, "InvalidParams"),
+    ("lyapunov_weight_ladder", "dt_qr = -1", 3, 3, "InvalidParams"),
+    # in the domain; the step cap stops the run before it allocates
+    ("lyapunov_weight_ladder", "dt_qr = 1e-300", 0, 3, "InvalidParams"),
+    ("lyapunov_weight_ladder", "T = 1e300", 0, 3, "InvalidParams"),
+    ("equidistribution_cat", "T = 1e300", 0, 3, "InvalidParams"),
+    # once read as 7 and as 0
+    ("qni_sl3", "n_scales = 7.5", 2, 2, "SchemaError"),
+    ("correlation_cat", "lln_n_u = 0.5", 2, 2, "SchemaError"),
+])
+def test_out_of_range_params_end_in_a_typed_error(tmp_path, name, line, validate, run, error):
+    # each once passed validate and ended run in a traceback, or was cut down
+    cfg = tmp_path / "edge.cfg"
+    cfg.write_text(_with_param(name, line))
+    v_code, v_out, v_err = _cli(["validate", str(cfg)])
+    r_code, r_out, r_err = _cli(["run", str(cfg), "--out", str(tmp_path / "o")])
+    assert (v_code, r_code) == (validate, run)
+    assert _one_error_line(r_out, r_err) == error
+    if validate:
+        assert (v_out, v_err) == (r_out, r_err)
+
+
+def test_every_range_problem_of_a_config_is_in_one_message(capsys, tmp_path):
+    cfg = tmp_path / "ranges.cfg"
+    cfg.write_text(_with_param("qni_sl3", "n_scales = 3").replace("u_scale = 0.01", "u_scale = -1"))
+    assert E.main(["validate", str(cfg)]) == 3
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "InvalidParams",
+        "message": "[params] 'u_scale' must be > 0, got -1; "
+                   "[params] 'n_scales' must be >= 6 and <= 1000, got 3",
+    }
+
+
+def test_readme_lists_each_params_domain_as_the_table_declares_it():
+    readme = " ".join((Path(__file__).resolve().parents[1] / "README.md").read_text().split())
+    for name, exp in E.EXPERIMENTS.items():
+        for key, (_, _, domain) in exp.params.items():
+            assert f"`{key}`: {domain}" in readme, (name, key)
 
 
 def test_run_payload_is_byte_deterministic():
@@ -434,7 +512,7 @@ _CONFIG_LINES = [p.read_text().splitlines() for p in sorted(CONFIGS.glob("*.cfg"
 #: every key the schema knows, so that a drawn key may land in the wrong place
 _KNOWN_KEYS = sorted(E._TOP_KEYS | {"kind"}
                      | {k for schema in E._SYSTEM_SCHEMAS.values() for k in schema}
-                     | {k for schema in E._PARAM_SCHEMAS.values() for k in schema})
+                     | {k for exp in E.EXPERIMENTS.values() for k in exp.params})
 _scalar_text = st.one_of(
     st.integers().map(str),
     st.integers(-10**400, 10**400).map(str),  # past the float range too
@@ -488,3 +566,91 @@ def test_validate_ends_every_mutated_config_in_a_documented_exit(text):
         assert out.getvalue() == ""
         assert err.getvalue().count("\n") == 1
         assert set(json.loads(err.getvalue())) == {"error", "message"}
+
+
+# ---------------------------------------------------------------------------
+# run fuzz: one [params] value at a time, at the edges of its domain
+
+#: one cheap config per experiment (each runs in under 0.15 s), the base of
+#: every draw
+_FUZZ_BASE = {
+    "lyapunov": ("BorelSmale", {"T": "150"}),
+    "qni": ("ASL2Model", {}),
+    "stopping": ("BorelSmale", {"ell": "8", "d0": "0.0003"}),
+    "bilipschitz": ("BorelSmale", {"ell_grid": "6, 7, 8, 9, 10", "s_grid": "2, 3, 4, 5, 6"}),
+    "equidistribution": ("CatSuspension", {"T": "50"}),
+    "correlation": ("CatSuspension", {"gaps": "2, 4", "lln_T": "10"}),
+    "yconfig": ("BorelSmale", {"ell": "10"}),
+}
+
+
+def _edges(domain):
+    """0, -1, 1e-300 and 1e300, and each finite edge with one ulp either
+    side; for an integer also one either side and a value half-way."""
+    values = [0, -1, 1e-300, 1e300, -1e300]
+    for edge in (domain.lo, domain.hi):
+        if math.isfinite(edge):
+            values += [edge, math.nextafter(edge, -math.inf), math.nextafter(edge, math.inf)]
+            if domain.kind is int:
+                values += [edge - 1, edge + 1, edge + 0.5]
+    return values
+
+
+@st.composite
+def _edge_case(draw):
+    experiment = draw(st.sampled_from(sorted(_FUZZ_BASE)))
+    key = draw(st.sampled_from(sorted(E.EXPERIMENTS[experiment].params)))
+    domain = E.EXPERIMENTS[experiment].params[key][2]
+    if domain.kind is str:
+        return experiment, key, draw(st.sampled_from(["auto", "exact", "mc", "bogus", "1"]))
+    v = draw(st.sampled_from(_edges(domain)))
+    text = repr(v) if isinstance(v, float) else str(v)
+    if domain.kind is list:  # one entry of the base list
+        base = _FUZZ_BASE[experiment][1].get(key) or ", ".join(map(str, E.EXPERIMENTS[
+            experiment].params[key][1]))
+        text += "," + base.partition(",")[2]
+    elif domain.kind is tuple:
+        text = ", ".join([text] * draw(st.integers(1, 3)))
+    return experiment, key, text
+
+
+@settings(max_examples=300)
+@given(case=_edge_case())
+@example(case=("qni", "n_scales", "-1"))
+@example(case=("qni", "scale_min", "0"))
+@example(case=("lyapunov", "dt_qr", "0"))
+@example(case=("lyapunov", "dt_qr", "-1"))
+@example(case=("lyapunov", "dt_qr", "1e-300"))
+@example(case=("lyapunov", "T", "1e300"))
+@example(case=("equidistribution", "T", "1e300"))
+@example(case=("qni", "n_scales", "7.5"))
+@example(case=("correlation", "lln_n_u", "0.5"))
+@example(case=("stopping", "ell", "1e-300"))  # a trace too short to fit a slope to
+@example(case=("stopping", "s_disp", "0.1"))
+@example(case=("correlation", "t0", "1e300"))
+def test_run_ends_every_edge_value_in_a_documented_exit(case):
+    experiment, key, text = case
+    kind, base = _FUZZ_BASE[experiment]
+    lines = [f"experiment = {experiment}", "[system]", f"kind = {kind}", "[params]"]
+    lines += [f"{k} = {v}" for k, v in {**base, key: text}.items()]
+    domain = E.EXPERIMENTS[experiment].params[key][2]
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "edge.cfg"
+        cfg.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        v_code, v_out, v_err = _cli(["validate", str(cfg)])
+        assert v_code in (0, 2, 3, 4)
+        if v_code:
+            _one_error_line(v_out, v_err)
+        else:
+            assert json.loads(v_out)["valid"] is True
+            if domain.kind is int and E._parse_value(text) >= domain.hi - 1:
+                return  # in the domain at its cap: valid, and too long a run for a test
+        r_code, r_out, r_err = _cli(["run", str(cfg), "--out", str(Path(tmp) / "o")])
+    assert r_code in (0, 2, 3, 4)
+    if v_code:  # rejected before any runner starts, in the same words
+        assert (r_code, r_err) == (v_code, v_err)
+    if r_code:
+        _one_error_line(r_out, r_err)
+    else:  # a result, and no NaN or infinity in it
+        assert r_err == ""
+        assert json.loads(r_out, parse_constant=pytest.fail)["experiment"] == experiment

@@ -460,6 +460,14 @@ def test_unperturbed_stopping_time_matches_closed_form():
 # what the transfer pipeline computes, and what it leaves out
 
 
+@pytest.mark.parametrize("s_disp", [(0.4,), (0.0, 0.4), (0.0, 0.0, 0.4, 0.0)])
+def test_companion_needs_one_parameter_per_stable_axis(s_disp):
+    # a short one once ended in a matmul ValueError, a long one was cut down
+    for system in (BS, PERT):
+        with pytest.raises(InvalidParams, match="s_disp"):
+            F.stopping_time(system, pt(system, 3), 0.3, 8.0, 0.02, F.Companion(s_disp=s_disp))
+
+
 def test_stopping_time_fits_no_chart_polynomial(monkeypatch):
     from anosovlab import leafgeom as L
 

@@ -369,6 +369,16 @@ def test_asl2_degenerate_direction():
         L.qni_exponent(system, S.origin(system), dirs, np.geomspace(1e-4, 1e-2, 8))
 
 
+@pytest.mark.parametrize("s_dir, u_dir", [((1.0,), (1.0,)), ((0.5, 0.7, -0.3), (1.0, 2.0)),
+                                          ((0.5, 0.7, -0.3, 0.1), (1.0,))])
+def test_qni_rejects_directions_of_the_wrong_length(s_dir, u_dir):
+    # a wrong length was once broadcast or cut down without a word
+    dirs = L.QniDirections(s_dir=s_dir, u_dir=u_dir, u_scale=0.01)
+    with pytest.raises(InvalidParams, match="direction"):
+        L.qni_exponent(make("SL3Model"), S.origin(make("SL3Model")), dirs,
+                       np.geomspace(1e-4, 1e-2, 8))
+
+
 def test_qni_rejects_narrow_scale_grids():
     system = make("SL3Model")
     dirs = L.QniDirections(s_dir=(0.5, 0.7, -0.3), u_dir=(1.0,), u_scale=0.01)

@@ -24,6 +24,15 @@ def pt(seed, system=CAT):
     return S.random_point(system, np.random.default_rng(seed))
 
 
+def test_sampling_past_the_step_cap_stops_before_it_starts():
+    phi = M.leafwise_test(CAT)
+    with pytest.raises(InvalidParams):
+        M.birkhoff_equidistribution(CAT, pt(1), M.equidistribution_tests(CAT), T=1e300)
+    with pytest.raises(InvalidParams):  # 2 * MAX_STEPS steps of 0.5
+        M.lln_average(CAT, pt(1), phi, T=float(S.MAX_STEPS), n_u=1)
+    with pytest.raises(InvalidParams):  # the exact phases walk the section orbit
+        M.correlation_decay(CAT, pt(1), phi, 1.0, 2.0 * S.MAX_STEPS, method="exact")
+
 def random_measure(gen, n=12):
     # dyadic weights: scaling by 0.5, 2, 10 is then exactly representable,
     # which is what makes the normalisation invariance exact

@@ -365,35 +365,6 @@ def test_torus_coordinate_reduction():
     assert np.allclose(r.coords, [0.25, 0.0, 0.0], atol=1e-12)
 
 
-def test_heisenberg_reduce_commuting_case():
-    out = S.heisenberg_reduce([1.2, 0.0, 0.0])
-    assert np.allclose(out, [0.2, 0.0, 0.0], atol=1e-12)
-
-
-def test_heisenberg_reduce_against_word_enumeration():
-    gens = []
-    for vec in (np.eye(3), -np.eye(3)):
-        gens.extend(list(vec))
-    start = np.array([1.0, 0.5, 0.0])
-    reduced = S.heisenberg_reduce(start)
-    # brute force over lattice words of length <= 3
-    candidates = [start]
-    frontier = [start]
-    for _ in range(3):
-        nxt = []
-        for p in frontier:
-            for g in gens:
-                nxt.append(S.heisenberg_mult(p, g))
-        candidates.extend(nxt)
-        frontier = nxt
-    in_domain = [
-        c for c in candidates if np.all(c >= -1e-12) and np.all(c < 1.0 - 1e-12)
-    ]
-    assert in_domain, "word search found no fundamental-domain representative"
-    best = min(in_domain, key=lambda c: np.max(np.abs(c - reduced)))
-    assert np.allclose(best, reduced, atol=1e-9)
-
-
 def test_heisenberg_mult_inverse():
     rng = np.random.default_rng(3)
     for _ in range(20):
@@ -401,6 +372,20 @@ def test_heisenberg_mult_inverse():
         e = S.heisenberg_mult(g, S.heisenberg_inverse(g))
         assert np.allclose(e, 0.0, atol=1e-12)
 
+
+def test_step_count_allows_the_cap_and_rejects_past_it():
+    # arithmetic only: nothing is allocated at or past the cap
+    assert S.step_count(S.MAX_STEPS * 0.5, 0.5) == S.MAX_STEPS
+    assert S.step_count(200, 1.0) == 200
+    for T, dt in [(S.MAX_STEPS + 1, 1.0), (1e300, 1.0), (200.0, 1e-300), (0.1, 1.0),
+                  (-5.0, 1.0), (1.0, 0.0), (1.0, -1.0), (1.0, math.nan)]:
+        with pytest.raises(InvalidParams):
+            S.step_count(T, dt)
+    for T, dt in [(math.inf, 1.0), (1e300, 1e-300), (math.nan, 1.0)]:
+        with pytest.raises(NonFinite):
+            S.step_count(T, dt)
+    # well above the longest shipped run (acceptance criterion 08: 8e4 steps)
+    assert S.step_count(4e4, 0.5) * 50 <= S.MAX_STEPS
 
 def test_ring_reduce_returns_lattice_offset():
     pair = np.array([2.7, -1.3])
