@@ -46,11 +46,14 @@ class Splitting:
         return [e for e, _ in self.subspaces]
 
 
+#: window half-width and quadrature step of the truncated adapted norm
+NORM_T_TRUNC = 20.0
+NORM_DTAU = 0.5
+
+
 @dataclass(frozen=True)
 class LyapunovNormParams:
     epsilon: float
-    T_trunc: float = 20.0
-    dtau: float = 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -73,7 +76,7 @@ def lyapunov_spectrum(system: System, x0: Point, T: float, dt_qr: float = 1.0,
     Q, _ = np.linalg.qr(np.eye(n) + 0.01 * gen.standard_normal((n, n)))
     walk = _Walk(system, x0, dt_qr)
     logs = np.zeros((steps - burn, n))
-    bound = getattr(system.model, "chart_bound", np.inf)
+    bound = system.model.chart_bound
     for k in range(steps):
         try:
             M = walk.step()
@@ -280,11 +283,9 @@ def lyapunov_norm(system: System, splitting: Splitting, v: np.ndarray,
     gaps = [a - b for a, b in zip(exps, exps[1:]) if a - b > 1e-12]
     if gaps and not (0.0 < params.epsilon < min(gaps) / 2.0):
         raise InvalidParams("epsilon must sit strictly inside half the minimal gap")
-    if params.T_trunc < 1.0:
-        raise InvalidParams("T_trunc must be at least 1")
     comps = decompose(splitting, np.asarray(v, dtype=float))
-    taus = np.arange(-params.T_trunc, params.T_trunc + 1e-9, params.dtau)
-    weights = np.full(taus.shape, params.dtau)
+    taus = np.arange(-NORM_T_TRUNC, NORM_T_TRUNC + 1e-9, NORM_DTAU)
+    weights = np.full(taus.shape, NORM_DTAU)
     weights[0] *= 0.5
     weights[-1] *= 0.5
     x = splitting.point
@@ -307,19 +308,18 @@ def lyapunov_norm(system: System, splitting: Splitting, v: np.ndarray,
 def _restricted_norm(system, splitting, comps, taus, weights, params):
     """Blockwise sums, each block's component carried unnormalised along one
     forward and one backward walk and re-projected onto its block."""
-    dtau = params.dtau
-    n_steps = int(round(params.T_trunc / dtau))
-    weight_of = {round(float(t) / dtau): w for t, w in zip(taus, weights)}
+    n_steps = int(round(NORM_T_TRUNC / NORM_DTAU))
+    weight_of = {round(float(t) / NORM_DTAU): w for t, w in zip(taus, weights)}
 
     def sweep(direction):
         # returns per-block squared sums over tau = direction * (dtau .. T)
         sums = [0.0] * len(comps)
         vs = list(comps)
-        walk = _Walk(system, splitting.point, direction * dtau, splitting)
+        walk = _Walk(system, splitting.point, direction * NORM_DTAU, splitting)
         _fill([walk], n_steps + 1)
         for k in range(1, n_steps + 1):
             D = walk.step()
-            tau = direction * k * dtau
+            tau = direction * k * NORM_DTAU
             for i, (lam, _) in enumerate(splitting.subspaces):
                 if np.linalg.norm(vs[i]) == 0.0:
                     continue
@@ -327,7 +327,7 @@ def _restricted_norm(system, splitting, comps, taus, weights, params):
                 sums[i] += (
                     math.exp(-2.0 * lam * tau - 2.0 * params.epsilon * abs(tau))
                     * float(np.dot(vs[i], vs[i]))
-                    * weight_of[round(tau / dtau)]
+                    * weight_of[round(tau / NORM_DTAU)]
                 )
         return sums
 
@@ -386,14 +386,15 @@ def _lambda2(system: System, splitting: Splitting, t: float) -> float:
     return float(np.log(np.linalg.norm(D @ second_line(splitting))))
 
 
-def transport(system: System, x: Point, t: float, dt: float = 1.0):
-    """Cocycle over [0, t] composed stepwise along the reduced orbit.
+def transport(system: System, x: Point, t: float):
+    """Cocycle over [0, t] composed stepwise, in steps of about one time unit,
+    along the reduced orbit.
 
     On quotient models this keeps the tangent bookkeeping consistent with
     lattice reduction (single-call tangent_flow lives on the cover).
     Returns (matrix, endpoint).
     """
-    steps = max(1, int(round(abs(t) / dt)))
+    steps = max(1, int(round(abs(t))))
     walk = _Walk(system, x, t / steps)
     D = np.eye(system.dim)
     for _ in range(steps):

@@ -185,10 +185,6 @@ def _parse_scalar(text):
     return text
 
 
-def _is_number(v):
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
 def _suggest(key, candidates):
     near = difflib.get_close_matches(key, candidates, n=1)
     return f" (did you mean {near[0]!r}?)" if near else ""

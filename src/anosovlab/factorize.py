@@ -36,6 +36,8 @@ from .systems import Point, System
 
 DT_TRACE = 0.25
 REFINEMENTS = 4
+#: step of the growth profiles
+PROFILE_DT = 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -86,10 +88,9 @@ class _GrowthProfile:
     the splitting at x, such as ``comod.second_line``.
     """
 
-    def __init__(self, system, x, direction, t_max, dt=0.5, project=None, also=()):
-        self.dt = dt
-        steps = int(math.ceil(t_max / dt)) + 1
-        walk = comod._Walk(system, x, dt)
+    def __init__(self, system, x, direction, t_max, project=None, also=()):
+        steps = int(math.ceil(t_max / PROFILE_DT)) + 1
+        walk = comod._Walk(system, x, PROFILE_DT)
         do_project = project == "stable" and system.exact_exponents is None
         self.also = comod._fill([walk], steps + 1 if do_project else 0, also)
         if callable(direction):
@@ -116,16 +117,16 @@ class _GrowthProfile:
             vecs.append(v.copy())
         self.logs = np.array(logs)
         self.vecs = vecs
-        self.t_max = steps * dt
+        self.t_max = steps * PROFILE_DT
 
     def vector_at(self, t):
-        k = int(round(t / self.dt))
+        k = int(round(t / PROFILE_DT))
         return self.vecs[min(k, len(self.vecs) - 1)]
 
     def __call__(self, t):
         if t < 0 or t > self.t_max + 1e-9:
             raise InvalidParams("time outside the precomputed growth profile")
-        s = min(t / self.dt, len(self.logs) - 1.000001)
+        s = min(t / PROFILE_DT, len(self.logs) - 1.000001)
         k = int(math.floor(s))
         frac = s - k
         return float((1 - frac) * self.logs[k] + frac * self.logs[k + 1])
@@ -146,24 +147,14 @@ class HolonomyResult:
 def _forward_convergence_ok(system, x, z, T):
     """Do the forward orbits of x and z approach each other over [0, T/2]?
 
-    Where the model gives the group displacement it is conjugated
-    analytically, so the check cannot be fooled by fundamental-domain seams."""
-    model = system.model
-    if hasattr(model, "group_displacement"):
-        d = model.group_displacement(x.coords, z.coords)
-        dth = z.coords[6] - x.coords[6]
-        d0 = float(np.linalg.norm(np.append(d, dth)))
-        if d0 == 0.0:
-            return True
-        dT = float(
-            np.linalg.norm(np.append(d * np.exp(model.rates[:6] * T / 2.0), dth))
-        )
-        return dT <= 0.5 * d0 + 1e-12
+    Both orbits are compared on the cover, unreduced: a converging pair can
+    have its reduced half-way images on opposite sides of a fundamental-domain
+    seam, a whole lattice period apart."""
     d0 = sysmod.dist(system, x, z)
     if d0 == 0.0:
         return True
-    half = sysmod.flow(system, x, T / 2.0)
-    halfz = sysmod.flow(system, z, T / 2.0)
+    half = sysmod.flow(system, x, T / 2.0, reduce=False)
+    halfz = sysmod.flow(system, z, T / 2.0, reduce=False)
     return sysmod.dist(system, half, halfz) <= 0.5 * d0 + 1e-12
 
 
@@ -171,9 +162,12 @@ def holonomy_limit(system: System, x: Point, z: Point, T_max: float = 30.0,
                    tol: float = 1e-12) -> HolonomyResult:
     """Limit of the ratio of second-line growth factors along two forward orbits.
 
-    Increments are summed until they fall below tol; the tail bound comes
-    from the fitted geometric decay of the increment sizes, guarded by the
-    recent increment scale."""
+    x and z must be stably related: their forward orbits must close in by
+    half over [0, T_max/2] on the cover (the orbits are not reduced, so a
+    pair whose reduced images straddle a fundamental-domain seam still
+    passes), or NotStablyRelated is raised.  Increments are summed until they
+    fall below tol; the tail bound comes from the fitted geometric decay of
+    the increment sizes, guarded by the recent increment scale."""
     return _holonomy(system, comod._Walk(system, x, 1.0), z, T_max, tol)[0]
 
 
@@ -299,13 +293,9 @@ def apriori_beta(system: System, w_exponent: float | None = None,
 @dataclass
 class TransferData:
     q: Point
-    q1: Point
-    q_half: Point
     q_half_prime: Point
     x: Point
-    z: Point
     w_params: np.ndarray
-    cs_resid: np.ndarray
     e2_slot: int
     e2_half: float
     B_scalar: float
@@ -315,7 +305,6 @@ class TransferData:
     stable_profile: _GrowthProfile
     ell: float
     beta: float
-    u: float
     companion: Companion
 
 
@@ -349,13 +338,13 @@ def _block_at_rate(sp, rate) -> int:
 
 def build_transfer(system: System, q1: Point, u: float, ell: float,
                    companion: Companion | None = None,
-                   measure_B: bool | None = None,
                    epsilon_chart: float = 1e-6) -> TransferData:
     """Assemble the half-way projection data and the forward growth profile.
 
     epsilon_chart is the admissible chart error for the projection step; the
     Taylor order is raised until the certified accuracy beats it, up to the
-    configured cap."""
+    configured cap.  The holonomy scalar is measured on models without exact
+    exponents and is 1 on the others."""
     if ell <= 0:
         raise InvalidParams("ell must be positive")
     model = system.model
@@ -401,9 +390,7 @@ def build_transfer(system: System, q1: Point, u: float, ell: float,
 
     # stable projection of x onto the unstable leaf of the companion
     if hasattr(model, "cs_u_factorize"):
-        w_params, cs_info = model.cs_u_factorize(x.coords, q_half_prime.coords)
-        cs_resid = np.asarray(cs_info[0] if isinstance(cs_info, tuple) else cs_info, dtype=float)
-        cs_resid = np.atleast_1d(cs_resid).ravel()
+        w_params, _ = model.cs_u_factorize(x.coords, q_half_prime.coords)
         z = sysmod.unstable_translate(system, q_half_prime, w_params)
     else:
         target = None
@@ -416,11 +403,10 @@ def build_transfer(system: System, q1: Point, u: float, ell: float,
                 f"chart error {target.evaluator_error:g} above the target "
                 f"{epsilon_chart:g} at the order cap"
             )
-        z, w_params, cs_params = lgmod.stable_projection(
+        z, w_params, _ = lgmod.stable_projection(
             system, x, target, tol=max(1e-10, 4.0 * target.evaluator_error),
             return_params=True,
         )
-        cs_resid = np.asarray(cs_params, dtype=float)
 
     # slot of the second-line direction among the unstable leaf parameters
     e2_slot = int(np.argsort(model.leaf_rates("Unstable"), kind="stable")[::-1][1])
@@ -430,18 +416,16 @@ def build_transfer(system: System, q1: Point, u: float, ell: float,
     walk_x = comod._Walk(system, x, 1.0, s_prof.also[1])
     profile = _GrowthProfile(system, x, comod.second_line(walk_x.splitting), horizon)
 
-    if measure_B is None:
-        measure_B = system.exact_exponents is None
-    B = _operator_B(system, z, walk_x, min(20.0, max(6.0, ell))) if measure_B else 1.0
+    B = (_operator_B(system, z, walk_x, min(20.0, max(6.0, ell)))
+         if system.exact_exponents is None else 1.0)
 
     grow_half = math.exp(profile(ell / 2.0))
     e2_half = float(w_params[e2_slot]) + r1 / grow_half
     return TransferData(
-        q=q, q1=q1.copy(), q_half=q_half, q_half_prime=q_half_prime, x=x, z=z,
-        w_params=np.asarray(w_params, dtype=float), cs_resid=cs_resid,
+        q=q, q_half_prime=q_half_prime, x=x, w_params=np.asarray(w_params, dtype=float),
         e2_slot=e2_slot, e2_half=e2_half, B_scalar=float(B), r_seed=float(r1),
         profile=profile, stable_profile=s_prof, ell=float(ell), beta=float(beta),
-        u=float(u), companion=companion,
+        companion=companion,
     )
 
 
@@ -452,12 +436,11 @@ def transfer_trace(data: TransferData, t: float) -> float:
 
 
 def transfer_magnitude(system: System, q: Point, q_prime: Point, u: float,
-                       ell: float, t: float, epsilon_chart: float = 1e-6) -> float:
+                       ell: float, t: float) -> float:
     """One-shot transfer magnitude for an explicitly given companion point."""
     q1 = sysmod.flow(system, q, ell)
     s_params = stable_params_between(system, q, q_prime)
-    comp = Companion(s_disp=tuple(s_params))
-    data = build_transfer(system, q1, u, ell, comp, epsilon_chart=epsilon_chart)
+    data = build_transfer(system, q1, u, ell, Companion(s_disp=tuple(s_params)))
     if t > data.beta * ell + 1e-9:
         raise InvalidParams("t exceeds the a-priori window")
     return transfer_trace(data, t)
@@ -484,15 +467,14 @@ class StoppingRecord:
 
 
 def stopping_time(system: System, q1: Point, u: float, ell: float, epsilon: float,
-                  companion: Companion | None = None, dt: float = DT_TRACE,
-                  refinements: int = REFINEMENTS) -> StoppingRecord:
+                  companion: Companion | None = None) -> StoppingRecord:
     """Last time within the a-priori window at which the transfer magnitude
     is still below epsilon, with bracketing refinement at the crossing."""
     if epsilon <= 0 or ell <= 0:
         raise InvalidParams("epsilon and ell must be positive")
     data = build_transfer(system, q1, u, ell, companion)
     t_end = data.beta * ell
-    grid = np.arange(0.0, t_end + dt / 2.0, dt)
+    grid = np.arange(0.0, t_end + DT_TRACE / 2.0, DT_TRACE)
     if grid[-1] < t_end:
         grid = np.append(grid, t_end)
     trace = [(float(t), transfer_trace(data, float(t))) for t in grid]
@@ -507,7 +489,7 @@ def stopping_time(system: System, q1: Point, u: float, ell: float, epsilon: floa
         k = below[-1]
         never = False
         lo, hi = trace[k][0], trace[min(k + 1, len(trace) - 1)][0]
-        for _ in range(refinements):
+        for _ in range(REFINEMENTS):
             mid = 0.5 * (lo + hi)
             if transfer_trace(data, mid) <= epsilon:
                 lo = mid
@@ -612,8 +594,7 @@ def paired_y_configurations(system: System, q: Point, u: float, u_prime: float,
 
 
 def bilipschitz_check(system: System, q1: Point, u: float, ell_grid, s_grid,
-                      epsilon: float, companion: Companion | None = None,
-                      refinements: int = REFINEMENTS):
+                      epsilon: float, companion: Companion | None = None):
     """Envelope check of stopping-time increments against measured rates.
 
     Returns (kappa1_hat, kappa2_hat, passed, details)."""
@@ -626,8 +607,7 @@ def bilipschitz_check(system: System, q1: Point, u: float, ell_grid, s_grid,
     ells = sorted(set(ell_grid) | {l + s for l in ell_grid for s in s_grid})
     taus = {}
     for l in ells:
-        rec = stopping_time(system, q1, u, l, epsilon, companion,
-                            refinements=refinements)
+        rec = stopping_time(system, q1, u, l, epsilon, companion)
         taus[l] = rec.tau2
 
     # measured second-line rates along the fast-displacement orbit
@@ -647,7 +627,7 @@ def bilipschitz_check(system: System, q1: Point, u: float, ell_grid, s_grid,
 
     kappa1 = kvf_min / lam2_max
     kappa2 = kvf_max / lam2_min
-    slack = 2.0 * DT_TRACE / (2**refinements) + 1e-9
+    slack = 2.0 * DT_TRACE / (2**REFINEMENTS) + 1e-9
 
     slopes = []
     passed = True
@@ -672,8 +652,7 @@ def bilipschitz_check(system: System, q1: Point, u: float, ell_grid, s_grid,
 
 
 def factorization_residual(system: System, q1: Point, u: float, ell: float,
-                           t: float = 1.0, companion: Companion | None = None,
-                           mesh: int = 64):
+                           t: float = 1.0, companion: Companion | None = None):
     """Local Hausdorff distance between the two fast leaves at time t versus
     the transfer magnitude.  Quotiented group models only (the companion
     translation is conjugated exactly)."""
@@ -706,7 +685,7 @@ def factorization_residual(system: System, q1: Point, u: float, ell: float,
     cx = lgmod.leaf_chart(system, P, "StrongUnstable", order=2)
     cy = lgmod.leaf_chart(system, Y, "StrongUnstable", order=2)
     omega = max(6.0 * A_t, 1e-4)
-    hd = lgmod.local_hausdorff(system, P, cx, cy, omega=omega, mesh=mesh)
+    hd = lgmod.local_hausdorff(system, P, cx, cy, omega=omega)
     return hd, A_t, data
 
 

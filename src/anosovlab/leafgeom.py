@@ -55,7 +55,7 @@ class PolyMap:
         return out
 
     @staticmethod
-    def fit(evaluator, param_dim, out_dim, order, radius, n_grid=5):
+    def fit(evaluator, param_dim, out_dim, order, radius):
         """Least-squares polynomial fit of an exact evaluator.
 
         Full box grid in low parameter dimension, a fixed seeded sample above
@@ -65,7 +65,7 @@ class PolyMap:
             for e in itertools.product(range(order + 1), repeat=param_dim)
             if sum(e) <= order
         ]
-        pts = _box_points(param_dim, radius, n_grid, 4 * max(len(exps), 32),
+        pts = _box_points(param_dim, radius, 5, 4 * max(len(exps), 32),
                           20240301, max(3 * len(exps), 120))
         A = np.empty((len(pts), len(exps)))
         for j, e in enumerate(exps):
@@ -124,8 +124,10 @@ class LeafChart:
         return _difference_jacobian(self.evaluate, np.atleast_1d(np.asarray(params, dtype=float)))
 
 
-def _difference_jacobian(f, params, h=1e-6):
-    """Central-difference Jacobian of f at params, one column per parameter."""
+def _difference_jacobian(f, params):
+    """Central-difference Jacobian of f at params (step 1e-6), one column per
+    parameter."""
+    h = 1e-6
     cols = []
     for j in range(len(params)):
         dp = params.copy()
@@ -316,9 +318,9 @@ def _orthonormalize_params(evaluator, pdim):
     return wrapped
 
 
-def _validate_remainder(evaluator, poly, radius, n=7):
+def _validate_remainder(evaluator, poly, radius):
     worst = 0.0
-    for p in _box_points(poly.param_dim, radius, n, 400, 20240302, 80):
+    for p in _box_points(poly.param_dim, radius, 7, 400, 20240302, 80):
         worst = max(worst, float(np.linalg.norm(evaluator(p) - poly.evaluate(p))))
     return 0.0 if worst < 1e-13 else worst
 
@@ -444,6 +446,8 @@ def _chart(system, x, kind, order):
 # ---------------------------------------------------------------------------
 # halfway points and the stable projection
 
+NEWTON_ITERATIONS = 50
+
 
 def halfway_points(system: System, q: Point, q_prime: Point, ell: float):
     """Flow both points to the middle of the excursion window."""
@@ -454,10 +458,11 @@ def halfway_points(system: System, q: Point, q_prime: Point, ell: float):
 
 
 def stable_projection(system: System, x: Point, target: LeafChart, tol: float = 1e-10,
-                      max_iter: int = 50, return_params: bool = False):
+                      return_params: bool = False):
     """Point z on the target unstable chart lying on the center-stable leaf of x.
 
-    Damped Newton with step halving on the coupled chart system."""
+    Damped Newton with step halving on the coupled chart system, for at most
+    NEWTON_ITERATIONS steps."""
     if tol < target.evaluator_error:
         raise NoIntersection(
             f"tolerance {tol:g} finer than chart accuracy {target.evaluator_error:g}"
@@ -479,7 +484,7 @@ def stable_projection(system: System, x: Point, target: LeafChart, tol: float = 
     except np.linalg.LinAlgError:
         v = np.zeros(p_cs + p_u)
     r = residual(v)
-    for _ in range(max_iter):
+    for _ in range(NEWTON_ITERATIONS):
         nr = float(np.linalg.norm(r))
         if nr < tol:
             break
@@ -500,7 +505,7 @@ def stable_projection(system: System, x: Point, target: LeafChart, tol: float = 
             raise NoIntersection(f"Newton stalled at residual {nr:g} > tol {tol:g}")
     else:
         if float(np.linalg.norm(r)) >= tol:
-            raise NoIntersection(f"no convergence within {max_iter} iterations")
+            raise NoIntersection(f"no convergence within {NEWTON_ITERATIONS} iterations")
     z = Point(target.evaluate(v[p_cs:]))
     if return_params:
         return z, v[p_cs:], v[:p_cs]
@@ -509,6 +514,9 @@ def stable_projection(system: System, x: Point, target: LeafChart, tol: float = 
 
 # ---------------------------------------------------------------------------
 # local Hausdorff distance
+
+HAUSDORFF_MESH = 64
+HAUSDORFF_REFINEMENTS = 3
 
 
 def _chart_cloud(chart, center, omega, mesh):
@@ -528,12 +536,13 @@ def _chart_cloud(chart, center, omega, mesh):
 
 
 def local_hausdorff(system: System, p: Point, X: LeafChart, Y: LeafChart,
-                    omega: float = 0.1, mesh: int = 64, max_refine: int = 3) -> float:
-    """Hausdorff distance between the omega-balls of two charts around p."""
+                    omega: float = 0.1) -> float:
+    """Hausdorff distance between the omega-balls of two charts around p, on
+    HAUSDORFF_MESH grids refined by halving up to HAUSDORFF_REFINEMENTS times."""
     center = p.coords
     prev = None
-    for refine in range(max_refine + 1):
-        m = mesh * (2**refine)
+    for refine in range(HAUSDORFF_REFINEMENTS + 1):
+        m = HAUSDORFF_MESH * (2**refine)
         cx = _chart_cloud(X, center, omega, m)
         cy = _chart_cloud(Y, center, omega, m)
         if len(cx) == 0 or len(cy) == 0:

@@ -26,6 +26,11 @@ from .systems import Point, System
 # ---------------------------------------------------------------------------
 # empirical measures and the 1-d Wasserstein distance
 
+#: orbit step, transverse box side and slab count of the leaf measure's conditioning
+LEAF_ORBIT_DT = 0.4
+LEAF_BOX_SIDE = 0.5
+LEAF_BINS = 6
+
 
 @dataclass
 class EmpiricalMeasure:
@@ -146,14 +151,13 @@ def _cat_folded_displacements(model, base, x, times):
 
 
 def empirical_leaf_measure(system: System, x: Point, n_samples: int, window,
-                           seed: int = 0, T_orbit: float | None = None,
-                           dt: float = 0.4, box_level: int = 1,
-                           bins: int = 6) -> EmpiricalMeasure:
+                           seed: int = 0, T_orbit: float | None = None) -> EmpiricalMeasure:
     """Uniform positions on the leaf window, weights from box conditioning.
 
-    A long orbit is histogrammed inside a cell that is a product of the leaf
-    window with a dyadic transverse box (equal slab volumes along the
-    parameter); the visit profile reweights the uniform draw."""
+    A long orbit, sampled every LEAF_ORBIT_DT, is histogrammed in LEAF_BINS
+    slabs of a cell that is a product of the leaf window with a transverse
+    box of side LEAF_BOX_SIDE (equal slab volumes along the parameter); the
+    visit profile reweights the uniform draw."""
     if not system.model.quotiented:
         raise Unsupported("leaf measures need a quotiented model")
     lo, hi = (float(window[0]), float(window[1]))
@@ -168,9 +172,8 @@ def empirical_leaf_measure(system: System, x: Point, n_samples: int, window,
         T_orbit = 1.0e6 if _toral(system) else 1.0e5
     e_leaf = system.model.leaf_dirs("StrongUnstable")[:, 0]
     base = sysmod.lattice_reduce(system, x).coords
-    side = 2.0 ** (-box_level)
 
-    times = np.arange(dt, T_orbit, dt)
+    times = np.arange(LEAF_ORBIT_DT, T_orbit, LEAF_ORBIT_DT)
     if _toral(system):
         rel = _cat_folded_displacements(system.model, base, x, times)
     else:
@@ -178,14 +181,14 @@ def empirical_leaf_measure(system: System, x: Point, n_samples: int, window,
         rel = pts - base
     params = rel @ e_leaf
     trans = rel - np.outer(params, e_leaf)
-    inside = (params >= lo) & (params < hi) & (np.max(np.abs(trans), axis=1) <= 0.5 * side)
+    inside = (params >= lo) & (params < hi) & (np.max(np.abs(trans), axis=1) <= 0.5 * LEAF_BOX_SIDE)
     frac = (params[inside] - lo) / (hi - lo)
-    idx = np.minimum((frac * bins).astype(int), bins - 1)
-    counts = np.bincount(idx, minlength=bins).astype(float)
+    idx = np.minimum((frac * LEAF_BINS).astype(int), LEAF_BINS - 1)
+    counts = np.bincount(idx, minlength=LEAF_BINS).astype(float)
     if counts.sum() == 0:
         raise EmptyBox("orbit never visited the conditioning box")
     density = counts / counts.mean()
-    idx = np.minimum(((positions - lo) / (hi - lo) * bins).astype(int), bins - 1)
+    idx = np.minimum(((positions - lo) / (hi - lo) * LEAF_BINS).astype(int), LEAF_BINS - 1)
     weights = density[idx]
     return EmpiricalMeasure.from_arrays(positions, weights)
 
@@ -266,12 +269,11 @@ def _eval_test_rows(system, tf, c):
 
 
 def birkhoff_equidistribution(system: System, x: Point, tests, T: float,
-                              dt: float = 0.5, reference: str = "haar") -> EquidistributionReport:
-    """Time averages along the orbit of x against the invariant integrals."""
+                              dt: float = 0.5) -> EquidistributionReport:
+    """Time averages along the orbit of x against the invariant (Haar)
+    integrals."""
     if not system.model.quotiented:
         raise Unsupported("equidistribution diagnostics need a quotiented model")
-    if reference != "haar":
-        raise InvalidParams(f"unknown reference measure {reference!r}")
     steps = sysmod.step_count(T, dt)
     times = np.arange(1, steps + 1) * dt
     refs = np.array([tf.reference for tf in tests])

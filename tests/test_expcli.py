@@ -16,6 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from anosovlab import expcli as E
+from anosovlab import factorize as F
 from anosovlab import systems as S
 from anosovlab.errors import KindMismatch, ParseError, SchemaError
 
@@ -654,3 +655,61 @@ def test_run_ends_every_edge_value_in_a_documented_exit(case):
     else:  # a result, and no NaN or infinity in it
         assert r_err == ""
         assert json.loads(r_out, parse_constant=pytest.fail)["experiment"] == experiment
+
+
+# ---------------------------------------------------------------------------
+# perturbed transfer runs: stably related pairs across a fundamental-domain seam
+
+
+def _perturbed_config(experiment, seed, params):
+    lines = [f"experiment = {experiment}", f"seed = {seed}", "[system]",
+             "kind = BorelSmalePerturbed", "eps_pert = 0.01", "[params]"]
+    return "\n".join(lines + [f"{k} = {v}" for k, v in params.items()]) + "\n"
+
+
+def _perturbed_beta():
+    return F.apriori_beta(S.make_system(S.SystemSpec("BorelSmalePerturbed", {"eps_pert": 0.01})))
+
+
+@pytest.mark.parametrize("experiment, seed, params", [
+    ("stopping", 127529923, {"ell": 6, "epsilon": 0.02}),
+    ("bilipschitz", 1722650153,
+     {"ell_grid": "6, 7, 8, 9, 10", "s_grid": "2, 3, 4, 5, 6", "epsilon": 0.02}),
+])
+def test_transfer_runs_whose_holonomy_pair_straddles_a_seam(experiment, seed, params):
+    # each once ended in NotStablyRelated: the holonomy gate compared reduced
+    # half-way images that a fundamental-domain seam put a lattice period
+    # apart, although the pair converges on the cover
+    res = E.run(E.parse_config(_perturbed_config(experiment, seed, params)), write=False).results
+    taus = {res["ell"]: res["tau2"]} if experiment == "stopping" else res["taus"]
+    beta = _perturbed_beta()
+    for ell, tau in taus.items():
+        assert 0.0 <= tau <= beta * float(ell) * (1 + 1e-12), ell
+
+
+#: (seed, ell) of the stopping configs that `perfbench/run.py --workload
+#: transfer_perturbed` draws at seeds 20260421 and 31415926, rounds 0-19
+_BENCH_STOPPING = [
+    (1937333525, 14), (640759259, 8), (163812713, 14), (1450982514, 9), (1998615996, 16),
+    (127529923, 6), (1664158203, 16), (1456030752, 6), (1678182418, 13), (889169598, 6),
+    (2095265231, 13), (589610764, 9), (801196361, 9), (1403968021, 9), (482874807, 6),
+    (1378046511, 13), (30718691, 13), (1376220478, 7), (1826957244, 15), (174287992, 7),
+    (1466418050, 12), (2138010547, 6), (1927416719, 8), (1993326374, 11), (1733983111, 9),
+    (1069980393, 14), (779171895, 14), (486340132, 9), (164708882, 10), (1705447788, 7),
+    (121431493, 10), (519663355, 13), (1686877062, 15), (393738950, 8), (540581011, 15),
+    (1438242028, 10), (373099317, 13), (1167465520, 15), (1474379784, 7), (1746180880, 15),
+]
+
+
+def test_benchmark_shaped_stopping_configs_all_run(tmp_path):
+    # the edge-value fuzz accepts exit 3 on every draw, so it cannot see a
+    # valid run turned into an error; each of these must end in a result
+    # (about 5 s in all on a 2-core host)
+    beta = _perturbed_beta()
+    cfg = tmp_path / "stopping.cfg"
+    for seed, ell in _BENCH_STOPPING:
+        cfg.write_text(_perturbed_config("stopping", seed, {"ell": ell, "epsilon": 0.02}))
+        code, out, err = _cli(["run", str(cfg), "--out", str(tmp_path / "o")])
+        assert (code, err) == (0, ""), (seed, ell, err)
+        tau2 = json.loads(out)["results"]["tau2"]
+        assert 0.0 <= tau2 <= beta * ell * (1 + 1e-12), (seed, ell)

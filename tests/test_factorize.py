@@ -50,6 +50,33 @@ def test_holonomy_rejects_unrelated_points():
         F.holonomy_limit(BS, x, z, T_max=10)
 
 
+def test_holonomy_gate_compares_orbits_on_the_cover():
+    # y sits 1e-3 inside the wall n1 = 0 of the z pair's ring-lattice cell
+    # (section level); x is y flowed back by T/2 on the cover and reduced, and
+    # z, on x's stable chart, reaches the far side of that wall by T/2
+    from anosovlab import leafgeom as L
+
+    T = 8.0
+    y = pt(PERT, 0).coords
+    scale = np.exp(PERT.model.rates[4:6] * y[6])
+    n = S.RING_BASIS_INV @ (y[4:6] / scale)
+    n[0] = 1e-3
+    y[4:6] = scale * (S.RING_BASIS @ n)
+    x = S.lattice_reduce(PERT, S.flow(PERT, S.Point(y), -T / 2, reduce=False))
+    z = S.Point(L.leaf_chart(PERT, x, "Stable", order=6).evaluate(np.array([0.04, 0.06, -0.05])))
+    d0 = S.dist(PERT, x, z)
+    # the reduced half-way images straddle the seam; the cover ones close in
+    assert S.dist(PERT, S.flow(PERT, x, T / 2), S.flow(PERT, z, T / 2)) > 10.0 * d0
+    cover = S.dist(PERT, S.flow(PERT, x, T / 2, reduce=False),
+                   S.flow(PERT, z, T / 2, reduce=False))
+    assert cover <= 0.5 * d0
+    res = F.holonomy_limit(PERT, x, z, T_max=T, tol=0.0)
+    # the same walks as a shorter run whose half-way images do not straddle
+    short = F.holonomy_limit(PERT, x, z, T_max=6.0, tol=0.0)
+    assert res.increments[:6] == short.increments
+    assert abs(res.value - short.value) <= short.tail_bound + 1e-9
+
+
 def test_holonomy_increments_decay_on_perturbed():
     # the companion point comes from an order-6 stable chart, whose off-leaf
     # error limits how long the pair stays shadowable; the decay fit runs
